@@ -45,6 +45,16 @@ from .artifacts import save_layout, save_report
 __all__ = ["BuildResult", "Driver"]
 
 
+def _evaluate_cell(cell: tuple):
+    """One evaluation cell: the cold, prefetch-free simulation of a fetch
+    stream (or its trace-store ref).  Calls this module's ``simulate``,
+    so per-layer wrappers installed on it see every evaluation."""
+    from ..perf.parallel import _resolve_stream
+
+    lines, cache = cell
+    return simulate(_resolve_stream(lines), cache)
+
+
 @dataclass
 class BuildResult:
     """Everything a compilation run produced."""
@@ -167,20 +177,17 @@ class Driver:
         self.close()
 
     def _evaluate(self, streams: list):
-        """Simulate the layouts' fetch streams (memoized, possibly parallel).
+        """Simulate the layouts' fetch streams on the driver's cell pool.
 
         The per-layout cells are independent, so with ``jobs > 1`` they
-        fan out across the driver's persistent cell pool; memo hits are
-        resolved first and fresh results are stored back, all yielding
-        stats bit-identical to serial un-memoized simulation.  With a
-        trace store attached, streams ship as zero-copy refs keyed by
-        the same content digest the memo key consumed.
+        fan out across worker processes (with ``jobs == 1`` the pool is
+        a plain serial loop); memo hits are resolved first and fresh
+        results are stored back, all yielding stats bit-identical to
+        serial un-memoized simulation.  With a trace store attached,
+        streams ship as zero-copy refs keyed by the same content digest
+        the memo key consumed.
         """
-        if self.memo is None and self.jobs == 1 and self.store is None:
-            return [simulate(stream, self.cache) for stream in streams]
-
         from ..perf.memo import memo_key
-        from ..perf.parallel import simulate_cells
         from ..perf.store import trace_digest
 
         results: list = [None] * len(streams)
@@ -202,11 +209,8 @@ class Driver:
                 if self.store is not None
                 else stream
             )
-            tasks.append((shipped, self.cache, False))
-        pool = self.cell_pool() if (self.jobs > 1 or self.store is not None) else None
-        for (i, key), stats in zip(
-            pending, simulate_cells(tasks, jobs=self.jobs, pool=pool)
-        ):
+            tasks.append((shipped, self.cache))
+        for (i, key), stats in zip(pending, self.cell_pool().map(_evaluate_cell, tasks)):
             if self.memo is not None:
                 self.memo.put(key, stats)
             results[i] = stats

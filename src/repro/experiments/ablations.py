@@ -23,7 +23,6 @@ from itertools import permutations
 import numpy as np
 
 from ..cache.config import CacheConfig
-from ..cache.fastsim import simulate_fast
 from ..cache.setassoc import simulate
 from ..core.goals import relative_reduction
 from ..core.layout import Granularity
@@ -33,6 +32,7 @@ from ..engine.instrument import collect_trace
 from ..engine.state import InputSpec
 from ..ir.builder import ModuleBuilder
 from ..ir.transforms import reorder_basic_blocks
+from ..perf.backends import KernelBackend, resolve_backend
 from ..trace.prune import prune_top_k
 from ..trace.trim import trim
 from .pipeline import BASELINE, Lab
@@ -48,6 +48,18 @@ __all__ = [
 ]
 
 
+def _tier(lab: Lab | None) -> tuple[KernelBackend, str | None]:
+    """The kernel tier ``lab`` runs on, resolved and as requested (the
+    fastest available tier when there is no lab)."""
+    name = None if lab is None else lab.kernel_backend
+    return resolve_backend(name, strict=False), name
+
+
+def _cold_misses(backend: KernelBackend, lines, cache: CacheConfig) -> int:
+    """Cold, prefetch-free LRU misses from one stack-distance histogram."""
+    return backend.histogram(lines, cache.n_sets).misses(cache.assoc)
+
+
 def _solo_reduction(lab: Lab, name: str, layout_result, channel: str = "sim") -> float:
     """Solo miss reduction of an ad-hoc layout vs baseline (sim channel)."""
     prepared = lab.program(name)
@@ -58,12 +70,11 @@ def _solo_reduction(lab: Lab, name: str, layout_result, channel: str = "sim") ->
         lab.cache_cfg.line_bytes,
     )
     if channel == "hw":
-        stats = simulate(stream, lab.cache_cfg, prefetch=True)
-    elif lab.use_kernel:
-        stats = simulate_fast(stream, lab.cache_cfg)
+        misses = simulate(stream, lab.cache_cfg, prefetch=True).misses
     else:
-        stats = simulate(stream, lab.cache_cfg, prefetch=False)
-    mr = stats.misses / prepared.instr_count
+        backend, _ = _tier(lab)
+        misses = _cold_misses(backend, stream, lab.cache_cfg)
+    mr = misses / prepared.instr_count
     return relative_reduction(base, mr)
 
 
@@ -190,11 +201,11 @@ def run_optimal_gap(lab: Lab | None = None) -> ExperimentResult:
     spec = InputSpec("ref", seed=11, max_blocks=4_000)
     bundle = collect_trace(module, spec)
     # 720+ cold prefetch-free simulations: the kernel's home turf.
-    sim = simulate_fast if lab is None or lab.use_kernel else simulate
+    backend, tier = _tier(lab)
 
     def misses(layout) -> int:
         stream = fetch_lines(bundle.bb_trace, layout.address_map, cache.line_bytes)
-        return sim(stream, cache).misses
+        return _cold_misses(backend, stream, cache)
 
     # All candidates live in the same stub-charged address space, so the
     # comparison isolates pure ordering (baseline_layout would be 4 bytes
@@ -205,7 +216,7 @@ def run_optimal_gap(lab: Lab | None = None) -> ExperimentResult:
     ]
     base = misses(reorder_basic_blocks(module, main_gids + leaf_gids))
 
-    cfg = OptimizerConfig(cache=cache, w_max=8)
+    cfg = OptimizerConfig(cache=cache, w_max=8, kernel_backend=tier)
     aff = misses(
         optimize(module, bundle, Granularity.BASIC_BLOCK, Model.AFFINITY, cfg)
     )
@@ -263,7 +274,7 @@ def run_seed_robustness(lab: Lab | None = None, n_seeds: int = 8) -> ExperimentR
 
     cache = lab.cache_cfg if lab is not None else OptimizerConfig().cache
     scale = lab.scale if lab is not None else 1.0
-    sim = simulate_fast if lab is None or lab.use_kernel else simulate
+    backend, tier = _tier(lab)
     reductions: dict[str, list[float]] = {name: [] for name in OPTIMIZERS}
     for seed in range(100, 100 + n_seeds):
         spec = WorkloadSpec(
@@ -287,12 +298,12 @@ def run_seed_robustness(lab: Lab | None = None, n_seeds: int = 8) -> ExperimentR
         base_lines = fetch_lines(
             ref.bb_trace, baseline_layout(module).address_map, cache.line_bytes
         )
-        base_mr = sim(base_lines, cache).misses / ref.instr_count
-        cfg = OptimizerConfig(cache=cache)
+        base_mr = _cold_misses(backend, base_lines, cache) / ref.instr_count
+        cfg = OptimizerConfig(cache=cache, kernel_backend=tier)
         for name, optimizer in OPTIMIZERS.items():
             layout = optimizer(module, test, cfg)
             lines = fetch_lines(ref.bb_trace, layout.address_map, cache.line_bytes)
-            mr = sim(lines, cache).misses / ref.instr_count
+            mr = _cold_misses(backend, lines, cache) / ref.instr_count
             reductions[name].append(relative_reduction(base_mr, mr))
 
     rows = []

@@ -18,12 +18,13 @@ Two measurement channels, as in the paper (Sec. III-A):
   this channel, because the paper times real runs.
 
 The ``sim`` channel is exactly the stack-distance kernel's domain (cold
-cache, no prefetch, true LRU), so by default the lab routes it through
-:mod:`repro.cache.fastsim`: one histogram per (program, layout, n_sets)
-answers every associativity, which collapses geometry sweeps.  The
-scalar simulator remains the oracle (``use_kernel=False``, also the
-runner's ``--no-fastsim``) and the only path for the ``hw`` channel and
-co-runs.
+cache, no prefetch, true LRU), so the lab always reads it from a
+histogram (:mod:`repro.cache.fastsim`): one histogram per (program,
+layout, n_sets) answers every associativity, which collapses geometry
+sweeps.  The lab's ``kernel_backend`` picks the tier that builds it;
+``"scalar"`` is the Fenwick reference construction.  The event-driven
+simulator in :mod:`repro.cache.setassoc` is the parity oracle and the
+only path for the ``hw`` channel and co-runs.
 
 ``scale`` shrinks every program's test/ref trace budgets; benchmarks run
 the full experiment logic at a fraction of the cost.
@@ -42,7 +43,6 @@ import numpy as np
 
 from ..cache.config import PAPER_L1I, CacheConfig
 from ..cache.fastsim import DistanceHistogram
-from ..cache.setassoc import simulate
 from ..cache.shared import simulate_shared
 from ..cache.stats import CacheStats
 from ..core.optimizers import OPTIMIZERS, OptimizerConfig
@@ -123,22 +123,16 @@ class Lab:
         (1 = fully serial; never changes results, only wall-clock time).
     memo: optional :class:`repro.perf.memo.SimMemo` replaying identical
         solo simulations instead of re-running them.
-    use_kernel: route sim-channel solo cells through the stack-distance
-        kernel (parity-gated bit-identical to the scalar simulator;
-        False forces the scalar oracle everywhere).
-    use_fast_analysis: route the locality models (affinity coverage, TRG
-        construction) through the vectorized kernels in
-        :mod:`repro.core.fastanalysis` (also parity-gated bit-identical).
-        ``None`` (default) respects ``optimizer_config``; a bool
-        overrides its ``use_fast_analysis`` field.
-    kernel_backend: requested kernel tier name for the hot analysis
-        kernels (see :mod:`repro.perf.backends`).  ``None`` (default)
-        resolves to the fastest available tier; an explicit name is
-        resolved with ``strict=False`` so a lab reconstructed inside a
-        worker without numba degrades ``compiled -> numpy`` with
-        bit-identical results.  Also mirrored into
-        ``optimizer_config.kernel_backend`` so the analysis kernels the
-        optimizers run inherit the same tier.
+    kernel_backend: requested kernel tier name (see
+        :mod:`repro.perf.backends`) — the lab's single tier switch.
+        Every stack-distance histogram, every locality-model analysis
+        (including :meth:`optimize` builds with a caller's config), the
+        cell pool, and every sub-lab an experiment derives read this
+        one field.  ``None`` (default) takes ``optimizer_config``'s tier,
+        else the fastest available; a name is resolved with
+        ``strict=False`` so a lab reconstructed inside a worker without
+        numba degrades ``compiled -> numpy`` with bit-identical results.
+        ``"scalar"`` runs the in-tree oracles everywhere.
     store: optional :class:`repro.perf.store.TraceStore`.  When set, the
         cell fan-outs publish each fetch stream once and ship ~100-byte
         :class:`~repro.perf.store.StoreRef` descriptors to workers, which
@@ -161,8 +155,6 @@ class Lab:
         timing: TimingParams = TimingParams(),
         jobs: int = 1,
         memo=None,
-        use_kernel: bool = True,
-        use_fast_analysis: Optional[bool] = None,
         kernel_backend: Optional[str] = None,
         profile_source: str = "trace",
         store=None,
@@ -179,17 +171,12 @@ class Lab:
         self.cache_cfg = cache_cfg
         self.scale = scale
         self.optimizer_config = optimizer_config or OptimizerConfig(cache=cache_cfg)
-        if use_fast_analysis is not None:
-            self.optimizer_config = dataclasses.replace(
-                self.optimizer_config, use_fast_analysis=use_fast_analysis
-            )
-        #: requested kernel tier (travels through spawn_config; workers
-        #: re-resolve it against their own environment).
+        if kernel_backend is None:
+            kernel_backend = self.optimizer_config.kernel_backend
+        #: requested kernel tier, the only copy of it (travels through
+        #: spawn_config; workers re-resolve it against their own
+        #: environment).
         self.kernel_backend = kernel_backend
-        if kernel_backend is not None:
-            self.optimizer_config = dataclasses.replace(
-                self.optimizer_config, kernel_backend=kernel_backend
-            )
         from ..perf.backends import resolve_backend
 
         self._backend = resolve_backend(kernel_backend, strict=False)
@@ -201,7 +188,6 @@ class Lab:
         self.store = store
         #: lazily created persistent CellPool (reused across fan-outs).
         self._cell_pool = None
-        self.use_kernel = use_kernel
         #: where the *optimization* profile (test input) comes from:
         #: "trace" instruments a real run; "static" synthesizes the test
         #: bundle from CFG structure alone (no-profile layout builds).
@@ -302,10 +288,15 @@ class Lab:
             "quantum": self.quantum,
             "noise_sigma": self.noise_sigma,
             "timing": self.timing,
-            "use_kernel": self.use_kernel,
             "kernel_backend": self.kernel_backend,
             "profile_source": self.profile_source,
         }
+
+    def _tiered(self, config: OptimizerConfig) -> OptimizerConfig:
+        """``config`` running its analyses on the lab's kernel tier."""
+        if config.kernel_backend == self.kernel_backend:
+            return config
+        return dataclasses.replace(config, kernel_backend=self.kernel_backend)
 
     # -- cell transport ------------------------------------------------------
 
@@ -435,7 +426,7 @@ class Lab:
                     result = optimizer(
                         prepared.module,
                         prepared.test_bundle,
-                        self.optimizer_config,
+                        self._tiered(self.optimizer_config),
                         memo=self._analysis_memo,
                         stats=stats,
                     )
@@ -449,14 +440,13 @@ class Lab:
         The ablation experiments sweep optimizer parameters the four
         named layouts pin down; routing them here (instead of calling
         :func:`repro.core.optimizers.optimize` directly) keeps the lab's
-        analysis memo, ``analysis_*`` counters, and the lab-level
-        ``use_fast_analysis`` override in force for every layout build
-        in a suite run.  Not memoized: sweeps never repeat a config.
+        analysis memo, ``analysis_*`` counters, and kernel tier in force
+        for every layout build in a suite run — ``config``'s own
+        ``kernel_backend`` is replaced by the lab's.  Not memoized:
+        sweeps never repeat a config.
         """
         prepared = self.program(name)
-        config = dataclasses.replace(
-            config, use_fast_analysis=self.optimizer_config.use_fast_analysis
-        )
+        config = self._tiered(config)
         stats: dict = {}
         with self._stage("optimize"):
             result = optimize_layout(
@@ -495,11 +485,7 @@ class Lab:
             for name, layout_name in dict.fromkeys(tuple(c) for c in cells)
             if (name, layout_name) not in self._layouts
         ]
-        if (
-            jobs > 1
-            and len(todo) > 1
-            and self.optimizer_config.use_fast_analysis
-        ):
+        if jobs > 1 and len(todo) > 1:
             from ..core.optimizers import analysis_cell
             from ..perf.memo import affinity_key, trg_key
             from ..perf.parallel import analysis_cells
@@ -704,24 +690,18 @@ class Lab:
         result = self._solo.get(key)
         if result is None:
             prepared = self.program(name)
-            if channel == "sim" and self.use_kernel:
+            if channel == "sim":
                 # The kernel's exact domain: cold cache, no prefetch.
                 hist = self.histogram(name, layout_name)
                 self.counters["kernel_cells"] += 1
                 result = MissRatios(
                     hist.misses(self.cache_cfg.assoc), prepared.instr_count
                 )
-                self._solo[key] = result
-                return result
-            stream = self.lines(name, layout_name)
-            sim = simulate if self.memo is None else self.memo.simulate
-            with self._stage("simulate", accesses=len(stream)), error_context(
-                "simulate", program=name, layout=layout_name
-            ):
-                if channel == "sim":
-                    stats = sim(stream, self.cache_cfg, prefetch=False)
-                    result = MissRatios(stats.misses, prepared.instr_count)
-                else:
+            else:
+                stream = self.lines(name, layout_name)
+                with self._stage(
+                    "simulate", accesses=len(stream)
+                ), error_context("simulate", program=name, layout=layout_name):
                     reading = measure_solo(
                         stream,
                         prepared.instr_count,
@@ -730,7 +710,7 @@ class Lab:
                         measurement_id=f"{name}/{layout_name}",
                         memo=self.memo,
                     )
-                    result = MissRatios(reading.icache_misses, reading.instructions)
+                result = MissRatios(reading.icache_misses, reading.instructions)
             self._solo[key] = result
         return result
 
@@ -782,7 +762,7 @@ class Lab:
             # keys the memo entry *and* the store entry.
             keysrc = trace_digest(stream) if self.store is not None else stream
             digest = keysrc if isinstance(keysrc, str) else None
-            if channel == "sim" and self.use_kernel:
+            if channel == "sim":
                 hkey = histogram_key(keysrc, n_sets)
                 hist = self._hists.get((name, layout_name, n_sets))
                 if hist is None and self.memo is not None:
@@ -797,15 +777,13 @@ class Lab:
                     kernel_pending.append((cell, hkey))
                     kernel_accesses += len(stream)
                 continue
-            prefetch = channel == "hw"
-            key = memo_key(keysrc, self.cache_cfg, prefetch=prefetch)
+            # The hw channel: the event-driven simulator with prefetch.
+            key = memo_key(keysrc, self.cache_cfg, prefetch=True)
             cached = self.memo.get(key) if self.memo is not None else None
             if cached is not None:
                 self._finish_solo_cell(cell, cached)
             else:
-                tasks.append(
-                    (self._ship_stream(stream, digest), self.cache_cfg, prefetch)
-                )
+                tasks.append((self._ship_stream(stream, digest), self.cache_cfg, True))
                 pending.append((cell, key))
                 task_accesses += len(stream)
 

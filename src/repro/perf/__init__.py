@@ -52,7 +52,6 @@ from .memo import (
 )
 from .parallel import (
     CellPool,
-    ExperimentPool,
     analysis_cells,
     histogram_cells,
     rebuild_error,
@@ -66,7 +65,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "CellPool",
     "KernelBackend",
-    "ExperimentPool",
     "SimMemo",
     "StoreRef",
     "Telemetry",

@@ -221,7 +221,8 @@ def _trg_pass(ids, n_syms, window_blocks):
 
 
 def histogram_compiled(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
-    """``repro.cache.fastsim`` method-style histogram construction."""
+    """A ``(part, counts) -> (cold, hist)`` histogram construction, the
+    shape :mod:`repro.cache.fastsim` runs its own two through."""
     from ..cache.fastsim import _set_bounds, _strip_d0, _trim
 
     part, counts, n_d0 = _strip_d0(part, counts)

@@ -20,6 +20,7 @@ from repro.cache import (
     sweep_stats,
     warm_cache,
 )
+from repro.cache.fastsim import fenwick_histogram
 
 N_SETS = (1, 2, 64, 128)
 ASSOCS = (1, 2, 4, 8)
@@ -86,14 +87,17 @@ def test_single_set_degenerate_geometry():
 @pytest.mark.parametrize("stream_name", sorted(_streams()))
 @pytest.mark.parametrize("n_sets", N_SETS)
 def test_histogram_constructions_agree(stream_name, n_sets):
-    """All three constructions — the per-set MTF walk, the Fenwick pass,
-    and the offline dominance-count sweep — are bit-identical."""
+    """Both constructions — the offline dominance-count sweep and the
+    Fenwick reference pass — are bit-identical, and both match the
+    event-driven simulator at every associativity."""
     lines = _streams()[stream_name]
-    mtf = stack_distance_histogram(lines, n_sets, method="mtf")
-    bit = stack_distance_histogram(lines, n_sets, method="bit")
-    sweep = stack_distance_histogram(lines, n_sets, method="sweep")
-    assert mtf == bit
-    assert mtf == sweep
+    sweep = stack_distance_histogram(lines, n_sets)
+    bit = fenwick_histogram(lines, n_sets)
+    assert sweep == bit
+    for assoc in ASSOCS:
+        ref = simulate(lines, cfg_for(n_sets, assoc))
+        assert sweep.stats(assoc) == ref
+        assert bit.stats(assoc) == ref
 
 
 @pytest.mark.parametrize("n_sets", (1, 4, 128))
@@ -178,12 +182,15 @@ def test_refuses_warm_state():
 
 
 def test_rejects_bad_geometry_and_method():
-    with pytest.raises(ValueError, match="power of two"):
-        stack_distance_histogram(np.arange(10), 96)
-    with pytest.raises(ValueError, match="power of two"):
-        stack_distance_histogram(np.arange(10), 0)
-    with pytest.raises(ValueError, match="unknown method"):
-        stack_distance_histogram(np.arange(10), 64, method="magic")
+    for build in (stack_distance_histogram, fenwick_histogram):
+        with pytest.raises(ValueError, match="power of two"):
+            build(np.arange(10), 96)
+        with pytest.raises(ValueError, match="power of two"):
+            build(np.arange(10), 0)
+    # The construction is chosen by name (or kernel tier), never by a
+    # method switch.
+    with pytest.raises(TypeError, match="method"):
+        stack_distance_histogram(np.arange(10), 64, method="bit")
     with pytest.raises(ValueError, match="one-dimensional"):
         stack_distance_histogram(np.zeros((3, 3)), 64)
     with pytest.raises(ValueError, match="assoc"):

@@ -97,9 +97,17 @@ def test_timing_pieces(lab):
     assert timing.corun_slowdown(0) >= 1.0
 
 
+def _direct_sim(lab, name, layout):
+    """The oracle: the event-driven simulator on the lab's own stream."""
+    from repro.cache import simulate
+
+    stats = simulate(lab.lines(name, layout), lab.cache_cfg, prefetch=False)
+    return stats.misses
+
+
 class TestKernelRouting:
-    """The sim channel rides the stack-distance kernel by default and
-    must be bit-identical to the scalar oracle (use_kernel=False)."""
+    """The sim channel always reads the stack-distance histogram and must
+    be bit-identical to a direct ``setassoc.simulate`` of the stream."""
 
     CELLS = [
         (name, layout, channel)
@@ -110,21 +118,26 @@ class TestKernelRouting:
 
     def test_solo_miss_parity_with_scalar_oracle(self):
         fast = Lab(scale=SCALE, noise_sigma=0.0)
-        oracle = Lab(scale=SCALE, noise_sigma=0.0, use_kernel=False)
-        for cell in self.CELLS:
-            assert fast.solo_miss(*cell) == oracle.solo_miss(*cell), cell
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
+        for name, layout, channel in self.CELLS:
+            got = fast.solo_miss(name, layout, channel)
+            assert got == scalar.solo_miss(name, layout, channel)
+            if channel == "sim":
+                assert got.misses == _direct_sim(fast, name, layout)
         assert fast.counters["kernel_cells"] > 0
         assert fast.counters["kernel_passes"] > 0
-        assert oracle.counters["kernel_cells"] == 0
 
     def test_precompute_solo_kernel_fanout_parity(self):
         from repro.perf import SimMemo
 
         batched = Lab(scale=SCALE, noise_sigma=0.0, memo=SimMemo())
         batched.precompute_solo(self.CELLS, jobs=2)
-        lazy = Lab(scale=SCALE, noise_sigma=0.0, use_kernel=False)
-        for cell in self.CELLS:
-            assert batched.solo_miss(*cell) == lazy.solo_miss(*cell), cell
+        lazy = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
+        for name, layout, channel in self.CELLS:
+            got = batched.solo_miss(name, layout, channel)
+            assert got == lazy.solo_miss(name, layout, channel)
+            if channel == "sim":
+                assert got.misses == _direct_sim(lazy, name, layout)
         # The second precompute replays histograms from the memo.
         again = Lab(scale=SCALE, noise_sigma=0.0, memo=batched.memo)
         again.precompute_solo(self.CELLS, jobs=2)
@@ -139,9 +152,11 @@ class TestKernelRouting:
         # One histogram answers other associativities of the family.
         assert h4.misses(1) >= h4.misses(8)
 
-    def test_spawn_config_carries_use_kernel(self):
-        assert Lab(scale=SCALE).spawn_config()["use_kernel"] is True
-        assert Lab(scale=SCALE, use_kernel=False).spawn_config()["use_kernel"] is False
+    def test_spawn_config_carries_kernel_backend(self):
+        assert Lab(scale=SCALE).spawn_config()["kernel_backend"] is None
+        cfg = Lab(scale=SCALE, kernel_backend="scalar").spawn_config()
+        assert cfg["kernel_backend"] == "scalar"
+        assert Lab(**cfg)._backend.name == "scalar"
 
     def test_hw_channel_never_uses_kernel(self):
         lab = Lab(scale=SCALE, noise_sigma=0.0)
@@ -168,30 +183,66 @@ class TestAnalysisRouting:
 
     def test_layout_parity_fast_vs_scalar(self):
         fast = Lab(scale=SCALE, noise_sigma=0.0)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         for layout_name in self.LAYOUTS:
             assert self._same_layout(
                 fast.layout("syn-mcf", layout_name),
                 scalar.layout("syn-mcf", layout_name),
             ), layout_name
-        assert fast.counters["analysis_cells"] == len(self.LAYOUTS)
-        assert fast.counters["analysis_passes"] == len(self.LAYOUTS)
-        assert fast.counters["analysis_accesses"] > 0
-        # The scalar path runs the original oracles: no kernel counters.
-        assert scalar.counters["analysis_cells"] == 0
+        # Every tier feeds the same analysis counters.
+        for lab in (fast, scalar):
+            assert lab.counters["analysis_cells"] == len(self.LAYOUTS)
+            assert lab.counters["analysis_passes"] == len(self.LAYOUTS)
+            assert lab.counters["analysis_accesses"] > 0
 
-    def test_lab_optimize_inherits_fast_analysis_override(self):
-        from repro.core.optimizers import Model, OptimizerConfig
+    def test_lab_optimize_inherits_kernel_backend(self, monkeypatch):
+        """Spy on the tier every analysis resolves: a caller's config
+        (``kernel_backend=None``) must not drop the lab's tier, neither
+        through :meth:`Lab.layout` nor through :meth:`Lab.optimize`."""
         from repro.core.layout import Granularity
+        from repro.core.optimizers import Model, OptimizerConfig
+        from repro.perf import backends
 
+        requested = []
+        real = backends.resolve_backend
+
+        def spy(name=None, *, strict=True):
+            backend = real(name, strict=strict)
+            requested.append(backend.name)
+            return backend
+
+        monkeypatch.setattr(backends, "resolve_backend", spy)
         cfg = OptimizerConfig(w_max=8)
-        fast = Lab(scale=SCALE, noise_sigma=0.0)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
-        a = fast.optimize("syn-mcf", Granularity.FUNCTION, Model.AFFINITY, cfg)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
+        scalar.layout("syn-mcf", "function-trg")
         b = scalar.optimize("syn-mcf", Granularity.FUNCTION, Model.AFFINITY, cfg)
+        assert requested and set(requested) == {"scalar"}
+        assert scalar.counters["analysis_cells"] == 2
+        fast = Lab(scale=SCALE, noise_sigma=0.0)
+        a = fast.optimize("syn-mcf", Granularity.FUNCTION, Model.AFFINITY, cfg)
         assert self._same_layout(a, b)
-        assert fast.counters["analysis_cells"] == 1
-        assert scalar.counters["analysis_cells"] == 0
+
+    @pytest.mark.parametrize("module", ["exp_cache_sweep", "exp_staticlint"])
+    def test_sub_labs_inherit_tier(self, module, monkeypatch):
+        """Experiments that derive a second lab hand it the parent's tier
+        (the spy stops the experiment at the sub-lab's construction)."""
+        import importlib
+
+        experiment = importlib.import_module(f"repro.experiments.{module}")
+        lab = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
+        requested = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(self, *args, **kwargs):
+            requested.append(kwargs.get("kernel_backend"))
+            raise Stop
+
+        monkeypatch.setattr(Lab, "__init__", spy)
+        with pytest.raises(Stop):
+            experiment.run(lab)
+        assert requested == ["scalar"]
 
     def test_repeated_layout_config_hits_analysis_memo(self):
         """Two optimizers sharing one analysis (same trace + params)
@@ -216,7 +267,7 @@ class TestAnalysisRouting:
         )
         batched.precompute_layouts(cells, jobs=2)
         assert batched.counters["analysis_passes"] == len(self.LAYOUTS)
-        lazy = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        lazy = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         for cell in cells:
             assert self._same_layout(
                 batched.layout(*cell), lazy.layout(*cell)
@@ -232,10 +283,11 @@ class TestAnalysisRouting:
         assert again.counters["analysis_memo_hits"] == len(self.LAYOUTS)
 
     def test_precompute_layouts_serial_and_scalar_fallbacks(self):
-        """jobs=1 or the scalar path must still build every layout."""
+        """jobs=1, and the scalar tier fanned out, must still build
+        every layout."""
         serial = Lab(scale=SCALE, noise_sigma=0.0)
         serial.precompute_layouts([("syn-mcf", "function-trg")], jobs=1)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         scalar.precompute_layouts(
             [("syn-mcf", "function-trg"), ("syn-mcf", "bb-trg")], jobs=2
         )
@@ -244,8 +296,18 @@ class TestAnalysisRouting:
             scalar.layout("syn-mcf", "function-trg"),
         )
 
-    def test_spawn_config_carries_use_fast_analysis(self):
-        cfg = Lab(scale=SCALE, use_fast_analysis=False).spawn_config()
-        assert cfg["optimizer_config"].use_fast_analysis is False
-        cfg = Lab(scale=SCALE).spawn_config()
-        assert cfg["optimizer_config"].use_fast_analysis is True
+    def test_config_tier_adopted_not_mirrored(self):
+        """The lab's ``kernel_backend`` is the one copy of the tier: a
+        tier named only in ``optimizer_config`` is adopted, an explicit
+        lab tier wins, and neither is written back into the config."""
+        from repro.core.optimizers import OptimizerConfig
+
+        cfg = OptimizerConfig(kernel_backend="scalar")
+        adopted = Lab(scale=SCALE, optimizer_config=cfg)
+        assert adopted.kernel_backend == "scalar"
+        assert adopted.optimizer_config is cfg
+        explicit = Lab(scale=SCALE, optimizer_config=cfg, kernel_backend="numpy")
+        assert explicit._backend.name == "numpy"
+        assert explicit.optimizer_config.kernel_backend == "scalar"
+        default = Lab(scale=SCALE)
+        assert default.optimizer_config.kernel_backend is None

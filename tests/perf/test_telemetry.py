@@ -73,9 +73,12 @@ class TestTelemetry:
         assert "simulate" in t.stages
 
     def test_run_suite_scalar_counters_without_kernel(self):
-        lab = Lab(scale=0.05, noise_sigma=0.0, use_kernel=False)
+        # fig4 measures on the hw channel only (solo and co-run, with
+        # prefetch): the event-driven simulator's counters carry the
+        # work and the stack-distance kernel never runs.
+        lab = Lab(scale=0.05, noise_sigma=0.0)
         t = Telemetry(jobs=1, scale=0.05)
-        run_suite(lab, ["ablation-pruning"], out=io.StringIO(), telemetry=t)
+        run_suite(lab, ["fig4"], out=io.StringIO(), telemetry=t)
         assert t.sim_accesses > 0
         assert t.sim_seconds > 0
         assert t.kernel_accesses == 0
@@ -327,10 +330,10 @@ class TestPerfCli:
         assert perf_main(["show-bench", str(path)]) == 0
         assert "simulator:" in capsys.readouterr().out
 
-    def test_no_fast_analysis_journal_parity(self, tmp_path, capsys):
-        """The full pipeline output is byte-identical with the locality
-        kernels on vs off (modulo timing fields) — the tentpole's
-        end-to-end contract for --no-fast-analysis."""
+    def test_scalar_backend_journal_parity(self, tmp_path, capsys):
+        """The full pipeline output is byte-identical on the fastest
+        kernel tier and on the all-oracle ``--kernel-backend scalar``
+        (modulo timing fields)."""
         fast = tmp_path / "fast.jsonl"
         scalar = tmp_path / "scalar.jsonl"
         base = [
@@ -338,7 +341,7 @@ class TestPerfCli:
             "--scale", "0.05", "--journal",
         ]
         assert runner_main(base + [str(fast)]) == 0
-        assert runner_main(base + [str(scalar), "--no-fast-analysis"]) == 0
+        assert runner_main(base + [str(scalar), "--kernel-backend", "scalar"]) == 0
         assert perf_main(["compare-journals", str(fast), str(scalar)]) == 0
         assert "journals agree" in capsys.readouterr().out
 
