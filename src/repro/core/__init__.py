@@ -10,7 +10,13 @@ from .fastanalysis import (
     coverage_from_analysis,
 )
 from .goals import GoalScores, relative_reduction, score_goals
-from .hierarchy import AffinityNode, build_hierarchy, hierarchy_levels, layout_order
+from .hierarchy import (
+    AffinityNode,
+    build_hierarchy,
+    build_hierarchy_reference,
+    hierarchy_levels,
+    layout_order,
+)
 from .layout import Granularity, apply_symbol_order
 from .linkaffinity import is_link_affinity_group, link_affinity_partition
 from .optimizers import (
@@ -48,6 +54,7 @@ __all__ = [
     "bb_affinity",
     "bb_trg",
     "build_hierarchy",
+    "build_hierarchy_reference",
     "build_trg",
     "build_trg_fast",
     "coverage_from_analysis",

@@ -19,9 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .affinity import AffinityAnalysis
 
-__all__ = ["AffinityNode", "build_hierarchy", "layout_order", "hierarchy_levels"]
+__all__ = [
+    "AffinityNode",
+    "build_hierarchy",
+    "build_hierarchy_reference",
+    "layout_order",
+    "hierarchy_levels",
+]
 
 
 @dataclass
@@ -65,7 +73,7 @@ def build_hierarchy(
 
     ``w_values`` defaults to ``2 .. analysis.w_max`` (w=1 never groups
     anything in a trimmed trace: two blocks in a window of footprint 1 is
-    impossible).  Values must be ascending.
+    impossible).  Values must be ascending and within ``1 .. w_max``.
 
     Greedy unit merging with lower-level precedence: at each w, existing
     units (initially singleton leaves, ordered by first occurrence) are
@@ -73,14 +81,84 @@ def build_hierarchy(
     every member block is pairwise w-affine with every block of the unit,
     or starts a new group.  Groups with a single unit are dissolved back to
     the unit (no spurious unary nodes).
+
+    Computed as complete linkage over one dense matrix: ``unit_w[a, b]``
+    is the smallest window at which every block of unit ``a`` is affine
+    with every block of unit ``b`` — the max of
+    :meth:`~AffinityAnalysis.affinity_thresholds` over member pairs — so
+    the all-pairs test of a unit against a group is one comparison with
+    the group's running-max row.  Units whose smallest off-diagonal entry
+    exceeds w cannot merge and are left out of the scan, so a level where
+    no unit can merge is skipped.  The forest is identical to
+    :func:`build_hierarchy_reference`, the per-pair loop kept as oracle.
     """
-    if w_values is None:
-        w_values = range(2, analysis.w_max + 1)
-    w_list = list(w_values)
-    if any(b <= a for a, b in zip(w_list, w_list[1:])):
-        raise ValueError("w_values must be strictly ascending")
-    if w_list and w_list[-1] > analysis.w_max:
-        raise ValueError("w_values exceed the analysed w_max")
+    w_list = _checked_w_values(analysis, w_values)
+    symbols, unit_w = analysis.affinity_thresholds()
+    units: list[AffinityNode] = [
+        AffinityNode(w=0, symbol=s, first_occ=analysis.first_occurrence(s))
+        for s in symbols
+    ]
+    # The diagonal takes the no-affinity value, so a unit is affine with
+    # some other unit at w iff its row minimum is <= w (a merged unit's
+    # diagonal is the max over its members' diagonals).
+    np.fill_diagonal(unit_w, analysis.w_max + 1)
+
+    for w in w_list:
+        if len(units) <= 1:
+            break
+        # Units with no partner at w stay alone, and no group they start
+        # can accept another unit; only the others are scanned.
+        active = np.flatnonzero(unit_w.min(axis=1) <= w)
+        if not active.size:
+            continue
+        active_w = unit_w[np.ix_(active, active)]
+        # group_w[g]: elementwise max of active_w rows over group g's units.
+        group_w = np.empty_like(active_w)
+        groups: list[list[int]] = []
+        for p, u in enumerate(active.tolist()):
+            fits = np.flatnonzero(group_w[: len(groups), p] <= w)
+            if fits.size:
+                g = int(fits[0])
+                np.maximum(group_w[g], active_w[p], out=group_w[g])
+                groups[g].append(u)
+            else:
+                group_w[len(groups)] = active_w[p]
+                groups.append([u])
+        # Every group sits where its first unit did: that is the scan order
+        # in which the per-pair loop creates groups.
+        lone = np.ones(len(units), dtype=bool)
+        lone[active] = False
+        groups += [[u] for u in np.flatnonzero(lone).tolist()]
+        groups.sort(key=lambda members: members[0])
+        order = [u for members in groups for u in members]
+        starts = np.cumsum([0] + [len(members) for members in groups[:-1]])
+        rows = np.maximum.reduceat(unit_w[order], starts, axis=0)
+        unit_w = np.maximum.reduceat(rows[:, order], starts, axis=1)
+        new_units: list[AffinityNode] = []
+        for members in groups:
+            if len(members) == 1:
+                new_units.append(units[members[0]])
+            else:
+                children = sorted((units[u] for u in members), key=lambda n: n.first_occ)
+                new_units.append(
+                    AffinityNode(w=w, children=children, first_occ=children[0].first_occ)
+                )
+        units = new_units
+
+    units.sort(key=lambda node: node.first_occ)
+    return units
+
+
+def build_hierarchy_reference(
+    analysis: AffinityAnalysis, w_values: Optional[Sequence[int]] = None
+) -> list[AffinityNode]:
+    """:func:`build_hierarchy` by its direct reading: one ``is_affine``
+    query per block pair, for every unit x group x member combination at
+    every w.  The parity oracle of the matrix formulation (like
+    :func:`~repro.core.affinity.affine_pairs_naive` for the analysis);
+    no production path calls it.
+    """
+    w_list = _checked_w_values(analysis, w_values)
 
     units: list[AffinityNode] = [
         AffinityNode(w=0, symbol=s, first_occ=analysis.first_occurrence(s))
@@ -121,6 +199,21 @@ def build_hierarchy(
 
     units.sort(key=lambda node: node.first_occ)
     return units
+
+
+def _checked_w_values(
+    analysis: AffinityAnalysis, w_values: Optional[Sequence[int]]
+) -> list[int]:
+    if w_values is None:
+        w_values = range(2, analysis.w_max + 1)
+    w_list = list(w_values)
+    if any(b <= a for a, b in zip(w_list, w_list[1:])):
+        raise ValueError("w_values must be strictly ascending")
+    if w_list and w_list[0] < 1:
+        raise ValueError("w_values must be >= 1")
+    if w_list and w_list[-1] > analysis.w_max:
+        raise ValueError("w_values exceed the analysed w_max")
+    return w_list
 
 
 def layout_order(forest: Iterable[AffinityNode]) -> list[int]:

@@ -98,6 +98,10 @@ class OptimizerConfig:
     #: ``numpy`` with bit-identical results.
     kernel_backend: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.w_min < 1:
+            raise ValueError(f"w_min={self.w_min} must be >= 1")
+
     def w_values(self) -> range:
         return range(self.w_min, self.w_max + 1)
 

@@ -35,9 +35,12 @@ Subcommands:
     ``2..w_max`` sweep and ``build_trg``), then runs each non-scalar
     backend tier's kernels, asserts every tier's artifacts are
     **bit-identical** to the oracles (exit 1 on any divergence), and
-    reports per-tier analysis-stage speedups.  Timings are the minimum
-    over ``--reps`` repetitions (single runs are noisy on shared
-    machines).  ``--backend`` restricts the tier list;
+    reports per-tier analysis-stage speedups.  On the scalar analysis it
+    also times ``build_hierarchy_reference`` (the per-pair loop) against
+    ``build_hierarchy`` (the threshold matrix), exits 1 if the two forests
+    differ, and reports ``hierarchy_seconds`` / ``hierarchy_speedup``.
+    Timings are the minimum over ``--reps`` repetitions (single runs are
+    noisy on shared machines).  ``--backend`` restricts the tier list;
     ``--min-speedup`` gates the fastest tier; ``--bench PATH`` merges
     the numbers under ``analysis_bench``; ``--out PATH`` writes a
     standalone ``BENCH_analysis.json``.
@@ -280,6 +283,7 @@ def _run_analysis_bench(args) -> int:
 
     from ..core.affinity import AffinityAnalysis
     from ..core.fastanalysis import coverage_from_analysis
+    from ..core.hierarchy import build_hierarchy, build_hierarchy_reference
     from ..core.layout import Granularity
     from ..core.optimizers import OptimizerConfig, _prepare_trace
     from ..core.trg import build_trg
@@ -327,9 +331,15 @@ def _run_analysis_bench(args) -> int:
     scalar_trg_s, scalar_trg = timed(lambda: build_trg(trace, window_blocks=window))
     scalar_covg = coverage_from_analysis(scalar_analysis)
     scalar_s = scalar_aff_s + scalar_trg_s
+    # Hierarchy stage on the same analysis: the per-pair reference loop
+    # against the threshold-matrix build, forests compared node by node.
+    ref_hier_s, ref_forest = timed(lambda: build_hierarchy_reference(scalar_analysis))
+    hier_s, forest = timed(lambda: build_hierarchy(scalar_analysis))
 
     rows: dict[str, dict] = {}
     mismatches: list[str] = []
+    if forest != ref_forest:
+        mismatches.append("hierarchy: matrix forest diverges from the reference loop")
     for name in names:
         backend = resolve_backend(name)
         if name == "compiled":  # JIT warm-up outside the timed reps
@@ -376,6 +386,11 @@ def _run_analysis_bench(args) -> int:
         f"scalar oracles: affinity {scalar_aff_s:.3f}s + trg "
         f"{scalar_trg_s:.3f}s = {scalar_s:.3f}s"
     )
+    hierarchy_speedup = round(ref_hier_s / hier_s, 2) if hier_s > 0 else float("inf")
+    print(
+        f"hierarchy: reference {ref_hier_s:.3f}s, matrix {hier_s:.3f}s "
+        f"({hierarchy_speedup:.2f}x), forests identical"
+    )
     for name in names:
         row = rows[name]
         print(
@@ -413,6 +428,9 @@ def _run_analysis_bench(args) -> int:
         "affinity_speedup": best["affinity_speedup"],
         "trg_speedup": best["trg_speedup"],
         "speedup": speedup,
+        "hierarchy_reference_seconds": round(ref_hier_s, 4),
+        "hierarchy_seconds": round(hier_s, 4),
+        "hierarchy_speedup": hierarchy_speedup,
     }
     if args.bench is not None:
         try:
@@ -805,6 +823,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"analysis-bench: {analysis_bench.get('speedup', 0)}x "
                 f"(affinity {analysis_bench.get('affinity_speedup', 0)}x, "
                 f"trg {analysis_bench.get('trg_speedup', 0)}x, "
+                f"hierarchy {analysis_bench.get('hierarchy_speedup', 0)}x, "
                 f"program={analysis_bench.get('program', '?')})"
             )
             for name, row in sorted(

@@ -82,6 +82,22 @@ class TestAnalysisAPI:
         with pytest.raises(ValueError):
             a.is_affine(1, 4, 5)
 
+    @pytest.mark.parametrize("w", [0, -2])
+    def test_w_below_one_rejected(self, w):
+        # hist[: w + 1] with w < 0 used to sum from the end of the
+        # histogram: covered(1, 4, -2) was 2 and is_affine(1, 4, -2) True.
+        a = AffinityAnalysis(FIG1, w_max=4)
+        with pytest.raises(ValueError):
+            a.covered(1, 4, w)
+        with pytest.raises(ValueError):
+            a.is_affine(1, 4, w)
+        with pytest.raises(ValueError):
+            a.affine_pairs(w)
+
+    def test_affine_pairs_beyond_analysis_rejected(self):
+        with pytest.raises(ValueError):
+            AffinityAnalysis(FIG1, w_max=4).affine_pairs(5)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             AffinityAnalysis(FIG1, w_max=0)

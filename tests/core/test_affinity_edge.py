@@ -193,3 +193,74 @@ def test_horizon_with_coverage_threshold_combined():
         assert analysis.affine_pairs(w) == _affine_pairs_ref(
             t, w, 4, 0.75, horizon=4
         )
+
+
+# -- the pairwise threshold matrix ---------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("coverage", [1.0, 0.75, 0.5])
+@pytest.mark.parametrize("horizon", [None, 6])
+def test_thresholds_answer_is_affine_at_every_w(seed, coverage, horizon):
+    rng = np.random.default_rng(300 + seed)
+    t = rng.integers(0, 4 + 2 * seed, size=160)
+    w_max = 8
+    analysis = AffinityAnalysis(t, w_max=w_max, coverage=coverage, time_horizon=horizon)
+    symbols, thresholds = analysis.affinity_thresholds()
+    assert symbols == analysis.symbols
+    assert thresholds.shape == (len(symbols), len(symbols))
+    for w in range(1, w_max + 1):
+        expected = set()
+        for i, x in enumerate(symbols):
+            for j, y in enumerate(symbols):
+                affine = analysis.is_affine(x, y, w)
+                assert affine == (thresholds[i, j] <= w), (x, y, w)
+                if affine and x < y:
+                    expected.add((x, y))
+        assert analysis.affine_pairs(w) == expected
+
+
+def test_thresholds_fig1():
+    analysis = AffinityAnalysis(np.array([1, 4, 2, 4, 2, 3, 5, 1, 4]), w_max=4)
+    symbols, thresholds = analysis.affinity_thresholds()
+    assert symbols == [1, 4, 2, 3, 5]
+    # (B3, B5) at w=2, (B1, B4) and (B2, B3) at w=3; (B1, B2) needs w=4;
+    # (B4, B2) first holds at w=5 > w_max, stored as w_max + 1.
+    assert thresholds[3, 4] == 2
+    assert thresholds[0, 1] == thresholds[2, 3] == 3
+    assert thresholds[0, 2] == 4
+    assert thresholds[1, 2] == 5
+    assert (np.diag(thresholds) == 1).all()
+    assert (thresholds == thresholds.T).all()
+
+
+@pytest.mark.parametrize("w_max, itemsize", [(20, 1), (254, 1), (255, 2)])
+def test_threshold_matrix_memory_bound(w_max, itemsize):
+    # One byte per cell while w_max + 1 fits: a 4,491-symbol BB-level
+    # hierarchy then costs ~20 MB per matrix instead of ~161 MB at int64.
+    analysis = AffinityAnalysis(np.tile(np.arange(40), 5), w_max=w_max)
+    _, thresholds = analysis.affinity_thresholds()
+    assert thresholds.itemsize == itemsize
+    assert thresholds.nbytes == itemsize * 40 * 40
+    assert int(thresholds.max()) <= w_max + 1
+
+
+def test_thresholds_of_degenerate_traces():
+    empty = AffinityAnalysis(np.array([], dtype=np.int64), w_max=4)
+    symbols, thresholds = empty.affinity_thresholds()
+    assert symbols == [] and thresholds.shape == (0, 0)
+    lone = AffinityAnalysis(np.array([7, 7, 7]), w_max=4)
+    symbols, thresholds = lone.affinity_thresholds()
+    assert symbols == [7] and thresholds.tolist() == [[1]]
+
+
+def test_thresholds_independent_of_chunking(monkeypatch):
+    import repro.core.affinity as affinity
+
+    rng = np.random.default_rng(17)
+    analysis = AffinityAnalysis(rng.integers(0, 12, size=300), w_max=6, coverage=0.75)
+    _, whole = analysis.affinity_thresholds()
+    monkeypatch.setattr(affinity, "_THRESHOLD_CHUNK", 7)
+    _, chunked = analysis.affinity_thresholds()
+    assert len(analysis._cov) > 7
+    np.testing.assert_array_equal(chunked, whole)

@@ -1,9 +1,21 @@
 """Unit tests for the affinity hierarchy (repro.core.hierarchy)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import AffinityAnalysis, build_hierarchy, hierarchy_levels, layout_order
+from repro.core import (
+    AffinityAnalysis,
+    AffinityCoverage,
+    OptimizerConfig,
+    analysis_from_coverage,
+    build_hierarchy,
+    build_hierarchy_reference,
+    hierarchy_levels,
+    layout_order,
+)
+from repro.perf.backends import resolve_backend
 
 FIG1 = np.array([1, 4, 2, 4, 2, 3, 5, 1, 4])
 
@@ -80,3 +92,84 @@ def test_single_symbol_trace():
     forest = build_hierarchy(analysis)
     assert layout_order(forest) == [7]
     assert forest[0].is_leaf
+
+
+@pytest.mark.parametrize("builder", [build_hierarchy, build_hierarchy_reference])
+@pytest.mark.parametrize("w_values", [[-3, 2], [0, 3], [0]])
+def test_windows_below_one_rejected(builder, w_values):
+    # A negative window used to read the coverage histogram from its end
+    # and emit a bogus level (-3: [[1, 4, 3], [2, 5]] on the Fig. 1 trace).
+    analysis = AffinityAnalysis(FIG1, w_max=6)
+    with pytest.raises(ValueError):
+        builder(analysis, w_values=w_values)
+
+
+def test_optimizer_config_rejects_w_min_below_one():
+    with pytest.raises(ValueError):
+        OptimizerConfig(w_min=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(w_min=-3)
+    assert list(OptimizerConfig(w_min=1, w_max=3).w_values()) == [1, 2, 3]
+
+
+# -- forest parity: matrix formulation vs the per-pair reference loop -------
+
+
+def _random_trace(seed: int, n: int, n_syms: int) -> np.ndarray:
+    """Loop-heavy (phases plus noise) or uniform, chosen by the seed."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        phase = rng.integers(0, n_syms, size=max(2, n_syms // 3))
+        base = np.tile(phase, n // phase.shape[0] + 1)[:n]
+        return np.where(rng.random(n) < 0.3, rng.integers(0, n_syms, size=n), base)
+    return rng.integers(0, n_syms, size=n)
+
+
+def _analysis(trace, tier, w_max, coverage, horizon):
+    """An analysis as the given kernel tier (or a memo replay) delivers it."""
+    if tier == "memo":
+        covg = resolve_backend("numpy").affinity(trace, w_max=w_max, time_horizon=horizon)
+        covg = AffinityCoverage.from_dict(json.loads(json.dumps(covg.to_dict())))
+    else:
+        covg = resolve_backend(tier).affinity(trace, w_max=w_max, time_horizon=horizon)
+    return analysis_from_coverage(trace, covg, coverage=coverage)
+
+
+def _assert_same_forest(analysis, w_values):
+    fast = build_hierarchy(analysis, w_values)
+    ref = build_hierarchy_reference(analysis, w_values)
+    # AffinityNode equality compares w, first_occ, symbol and the ordered
+    # children recursively: the whole forest, not just the leaf order.
+    assert fast == ref
+
+
+W_VALUES = {"full": None, "sparse": [2, 5, 9], "single": [4], "empty": []}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("coverage", [1.0, 0.75, 0.5])
+@pytest.mark.parametrize("horizon", [None, 12])
+@pytest.mark.parametrize("tier", ["scalar", "numpy", "memo"])
+def test_forest_parity_matrix(seed, coverage, horizon, tier):
+    trace = _random_trace(seed, 240, 5 + 3 * seed)
+    analysis = _analysis(trace, tier, 10, coverage, horizon)
+    for w_values in W_VALUES.values():
+        _assert_same_forest(analysis, w_values)
+
+
+@pytest.mark.parametrize("w_values", list(W_VALUES.values()), ids=list(W_VALUES))
+def test_forest_parity_edge_cases(w_values):
+    mutually_affine = np.tile([3, 1, 2], 20)  # every pair affine from w=3
+    for trace in ([], [7], [7, 7, 7], mutually_affine, FIG1):
+        analysis = AffinityAnalysis(np.asarray(trace, dtype=np.int64), w_max=10)
+        _assert_same_forest(analysis, w_values)
+    forest = build_hierarchy(AffinityAnalysis(mutually_affine, w_max=10))
+    assert len(forest) == 1 and forest[0].w == 3
+    assert build_hierarchy(AffinityAnalysis(np.array([], dtype=np.int64))) == []
+
+
+def test_forest_parity_fig1_every_w_subset():
+    analysis = AffinityAnalysis(FIG1, w_max=6)
+    for mask in range(1 << 6):
+        w_values = [w for w in range(1, 7) if mask >> (w - 1) & 1]
+        _assert_same_forest(analysis, w_values)

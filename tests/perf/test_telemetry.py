@@ -302,12 +302,28 @@ class TestPerfCli:
         assert ab["window_blocks"] == 256
         assert ab["speedup"] > 0
         assert ab["trace_accesses"] > 0
+        assert "forests identical" in printed
+        assert ab["hierarchy_seconds"] > 0
+        assert ab["hierarchy_reference_seconds"] > 0
+        assert ab["hierarchy_speedup"] > 0
         standalone = json.loads(out.read_text())
         assert standalone["schema"] == "repro.perf/analysis-bench.v1"
         assert standalone["speedup"] == ab["speedup"]
         # The merged section survives show-bench.
         assert perf_main(["show-bench", str(bench)]) == 0
         assert "analysis-bench:" in capsys.readouterr().out
+
+    def test_analysis_bench_hierarchy_parity_enforced(self, monkeypatch, capsys):
+        import repro.core.hierarchy as hierarchy
+
+        real = hierarchy.build_hierarchy
+        # A forest that lost its first root.
+        monkeypatch.setattr(
+            hierarchy, "build_hierarchy", lambda *a, **k: real(*a, **k)[1:]
+        )
+        code = perf_main(["analysis-bench", "--scale", "0.05", "--reps", "1"])
+        assert code == 1
+        assert "hierarchy" in capsys.readouterr().err
 
     def test_analysis_bench_min_speedup_enforced(self, capsys):
         code = perf_main(
