@@ -20,7 +20,7 @@ from repro.core import (
     coverage_from_analysis,
 )
 from repro.experiments import Lab
-from repro.perf import SimMemo, affinity_key, memo_key, resolve_backend
+from repro.perf import SimMemo, memo_key, resolve_backend
 
 _RNG = np.random.default_rng(2014)
 _LINES = _RNG.integers(0, 700, int(200_000 * max(BENCH_SCALE, 0.05)))
@@ -128,7 +128,7 @@ def bench_analysis_memo_hit(benchmark):
     cold = memo.affinity_coverage(_SYMS, w_max=_W_MAX)
     hit = benchmark(memo.affinity_coverage, _SYMS, w_max=_W_MAX)
     assert hit == cold
-    assert memo.has_analysis(affinity_key(_SYMS, w_max=_W_MAX))
+    assert memo.misses == 1  # every benchmarked call replayed
 
 
 def bench_precompute_solo_serial(benchmark):

@@ -46,13 +46,14 @@ __all__ = ["BuildResult", "Driver"]
 
 
 def _evaluate_cell(cell: tuple):
-    """One evaluation cell: the cold, prefetch-free simulation of a fetch
-    stream (or its trace-store ref).  Calls this module's ``simulate``,
-    so per-layer wrappers installed on it see every evaluation."""
+    """One ``("stats", stream, cache, prefetch)`` evaluation cell: the
+    cold simulation of a fetch stream (or its trace-store ref).  Calls
+    this module's ``simulate``, so per-layer wrappers installed on it
+    see every evaluation."""
     from ..perf.parallel import _resolve_stream
 
-    lines, cache = cell
-    return simulate(_resolve_stream(lines), cache)
+    _, lines, cache, prefetch = cell
+    return simulate(_resolve_stream(lines), cache, prefetch=prefetch)
 
 
 @dataclass
@@ -179,42 +180,21 @@ class Driver:
     def _evaluate(self, streams: list):
         """Simulate the layouts' fetch streams on the driver's cell pool.
 
-        The per-layout cells are independent, so with ``jobs > 1`` they
-        fan out across worker processes (with ``jobs == 1`` the pool is
-        a plain serial loop); memo hits are resolved first and fresh
-        results are stored back, all yielding stats bit-identical to
-        serial un-memoized simulation.  With a trace store attached,
-        streams ship as zero-copy refs keyed by the same content digest
-        the memo key consumed.
+        :func:`~repro.perf.parallel.memoized_cells` answers memo hits and
+        fans the rest out as :func:`_evaluate_cell` calls (with
+        ``jobs == 1`` the pool is a plain serial loop), storing fresh
+        results back — all bit-identical to serial un-memoized
+        simulation.  With a trace store attached, streams ship as
+        zero-copy refs keyed by the same content digest the memo key
+        consumed.
         """
-        from ..perf.memo import memo_key
-        from ..perf.store import trace_digest
+        from ..perf.parallel import memoized_cells
 
-        results: list = [None] * len(streams)
-        pending: list[tuple[int, str]] = []
-        tasks = []
-        for i, stream in enumerate(streams):
-            keysrc = trace_digest(stream) if self.store is not None else stream
-            if self.memo is not None:
-                key = memo_key(keysrc, self.cache, prefetch=False)
-                cached = self.memo.get(key)
-                if cached is not None:
-                    results[i] = cached
-                    continue
-            else:
-                key = ""
-            pending.append((i, key))
-            shipped = (
-                self.store.ref(stream, key=keysrc)
-                if self.store is not None
-                else stream
-            )
-            tasks.append((shipped, self.cache))
-        for (i, key), stats in zip(pending, self.cell_pool().map(_evaluate_cell, tasks)):
-            if self.memo is not None:
-                self.memo.put(key, stats)
-            results[i] = stats
-        return results
+        cells = [("stats", stream, self.cache, False) for stream in streams]
+        stats, _ = memoized_cells(
+            cells, pool=self.cell_pool(), memo=self.memo, fn=_evaluate_cell
+        )
+        return stats
 
     def build(
         self,

@@ -164,14 +164,15 @@ def _affinity_analysis(
     backend = resolve_backend(config.kernel_backend, strict=False)
     start = time.perf_counter()
     if memo is not None:
-        misses_before = memo.misses
-        covg = memo.affinity_coverage(
+        from ..perf.memo import AFFINITY_KIND
+
+        covg, fresh = memo.get_or_compute(
+            AFFINITY_KIND,
             trace,
-            w_max=config.w_max,
-            time_horizon=config.affinity_time_horizon,
+            config.w_max,
+            config.affinity_time_horizon,
             backend=backend,
         )
-        fresh = memo.misses > misses_before
     else:
         covg = backend.affinity(
             trace, w_max=config.w_max, time_horizon=config.affinity_time_horizon
@@ -195,9 +196,9 @@ def _trg_analysis(
     backend = resolve_backend(config.kernel_backend, strict=False)
     start = time.perf_counter()
     if memo is not None:
-        misses_before = memo.misses
-        trg = memo.trg(trace, window_blocks=window, backend=backend)
-        fresh = memo.misses > misses_before
+        from ..perf.memo import TRG_KIND
+
+        trg, fresh = memo.get_or_compute(TRG_KIND, trace, window, backend=backend)
     else:
         trg = backend.trg(trace, window_blocks=window)
         fresh = True
@@ -222,7 +223,7 @@ def analysis_cell(
 
     ``None`` for layouts without a precomputable model analysis.  Used by
     :meth:`repro.experiments.pipeline.Lab.precompute_layouts` and
-    :func:`repro.perf.parallel.analysis_cells` to fan the expensive model
+    :func:`repro.perf.parallel.memoized_cells` to fan the expensive model
     passes across workers before the (serial, memo-hitting) layout
     builds.
     """

@@ -55,6 +55,7 @@ from ..locality.footprint import FootprintCurve, footprint_curve
 from ..machine.counters import measure_corun, measure_solo, reading_from_stats
 from ..machine.smt import CoRunTiming, corun_pair
 from ..machine.timing import ThreadCost, TimingParams, thread_cost
+from ..perf.memo import CURVE_KIND, HISTOGRAM_KIND
 from ..robust.errors import ProfileError, error_context
 from ..staticlint.profile import synthesize_bundle
 from ..workloads.suite import SuiteProgram
@@ -195,7 +196,7 @@ class Lab:
         #: evaluations measure what the static profile actually bought.
         self.profile_source = profile_source
         # Analysis artifacts always go through a memo so that
-        # precompute_layouts can inject parallel-built payloads; without a
+        # precompute_layouts can store worker-built artifacts; without a
         # user-supplied SimMemo it is private and purely in-memory.
         if memo is not None:
             self._analysis_memo = memo
@@ -347,6 +348,17 @@ class Lab:
             self.counters["pool_fanouts"] = float(self._cell_pool.maps)
             self.counters["pool_reuses"] = float(self._cell_pool.reuses)
 
+    def _fan_out(self, cells: list[tuple], jobs: int, memo) -> tuple[list, list[bool]]:
+        """:func:`~repro.perf.parallel.memoized_cells` on the lab's pool,
+        shipping streams through :meth:`_ship_stream`."""
+        from ..perf.parallel import memoized_cells
+
+        out = memoized_cells(
+            cells, pool=self.cell_pool(jobs), memo=memo, ship=self._ship_stream
+        )
+        self._sync_pool_counters()
+        return out
+
     def close(self) -> None:
         """Release the persistent cell pool (idempotent; the lab stays
         usable and respawns workers on the next fan-out)."""
@@ -480,21 +492,11 @@ class Lab:
         :meth:`precompute_solo`.
         """
         jobs = self.jobs if jobs is None else jobs
-        todo = [
-            (name, layout_name)
-            for name, layout_name in dict.fromkeys(tuple(c) for c in cells)
-            if (name, layout_name) not in self._layouts
-        ]
+        todo = _todo(cells, self._layouts)
         if jobs > 1 and len(todo) > 1:
             from ..core.optimizers import analysis_cell
-            from ..perf.memo import affinity_key, trg_key
-            from ..perf.parallel import analysis_cells
-            from ..perf.store import trace_digest
 
-            tasks: list[tuple] = []
-            pending: list[str] = []
-            seen: set[str] = set()
-            task_accesses = 0
+            analyses = []
             for name, layout_name in todo:
                 prepared = self.program(name)
                 cell = analysis_cell(
@@ -503,36 +505,17 @@ class Lab:
                     layout_name,
                     self.optimizer_config,
                 )
-                if cell is None:
-                    continue
-                trace = cell[1]
-                # The content digest keys both the memo entry and the
-                # store entry — hash the trace once, use it twice.
-                keysrc = trace_digest(trace) if self.store is not None else trace
-                if cell[0] == "affinity":
-                    key = affinity_key(keysrc, w_max=cell[2], time_horizon=cell[3])
-                else:
-                    key = trg_key(keysrc, window_blocks=cell[2])
-                if key in seen or self._analysis_memo.has_analysis(key):
-                    continue
-                seen.add(key)
-                shipped = self._ship_stream(
-                    trace, keysrc if isinstance(keysrc, str) else None
-                )
-                tasks.append((cell[0], shipped) + tuple(cell[2:]))
-                pending.append(key)
-                task_accesses += int(np.asarray(trace).shape[0])
-            if tasks:
+                if cell is not None:
+                    analyses.append(cell)
+            if analyses:
                 with self._stage("optimize"):
                     start = time.perf_counter()
-                    payloads = analysis_cells(tasks, pool=self.cell_pool(jobs))
-                    self._sync_pool_counters()
-                    elapsed = time.perf_counter() - start
-                    for key, payload in zip(pending, payloads):
-                        self._analysis_memo.put_analysis(key, payload)
-                    self.counters["analysis_passes"] += len(tasks)
-                    self.counters["analysis_accesses"] += task_accesses
-                    self.counters["analysis_seconds"] += elapsed
+                    _, computed = self._fan_out(analyses, jobs, self._analysis_memo)
+                    self.counters["analysis_passes"] += sum(computed)
+                    self.counters["analysis_accesses"] += sum(
+                        len(cell[1]) for cell, c in zip(analyses, computed) if c
+                    )
+                    self.counters["analysis_seconds"] += time.perf_counter() - start
         for name, layout_name in todo:
             self.layout(name, layout_name)
 
@@ -581,13 +564,12 @@ class Lab:
                 "simulate", accesses=len(stream), kernel=True
             ), error_context("simulate", program=name, layout=layout_name):
                 if self.memo is not None:
-                    misses_before = self.memo.misses
-                    hist = self.memo.histogram(stream, n_sets, backend=self._backend)
-                    if self.memo.misses > misses_before:
-                        self.counters["kernel_passes"] += 1
+                    hist, computed = self.memo.get_or_compute(
+                        HISTOGRAM_KIND, stream, n_sets, backend=self._backend
+                    )
                 else:
-                    hist = self._backend.histogram(stream, n_sets)
-                    self.counters["kernel_passes"] += 1
+                    hist, computed = self._backend.histogram(stream, n_sets), True
+                self.counters["kernel_passes"] += computed
             self._hists[key] = hist
         return hist
 
@@ -609,15 +591,10 @@ class Lab:
             ):
                 start = time.perf_counter()
                 if self.memo is not None:
-                    misses_before = self.memo.misses
-                    curve = self.memo.footprint_curve(stream)
-                    if self.memo.misses > misses_before:
-                        self.counters["curve_passes"] += 1
-                    else:
-                        self.counters["curve_memo_hits"] += 1
+                    curve, computed = self.memo.get_or_compute(CURVE_KIND, stream)
                 else:
-                    curve = footprint_curve(stream)
-                    self.counters["curve_passes"] += 1
+                    curve, computed = footprint_curve(stream), True
+                self.counters["curve_passes" if computed else "curve_memo_hits"] += 1
                 self.counters["curve_seconds"] += time.perf_counter() - start
             self._curves[key] = curve
         return curve
@@ -639,48 +616,24 @@ class Lab:
         float form — so this is purely a wall-clock optimization.
         """
         jobs = self.jobs if jobs is None else jobs
-        todo = [
-            (name, layout_name)
-            for name, layout_name in dict.fromkeys(tuple(c) for c in cells)
-            if (name, layout_name) not in self._curves
-        ]
+        todo = _todo(cells, self._curves)
         if jobs <= 1 or len(todo) <= 1:
             for name, layout_name in todo:
                 self.footprint(name, layout_name)
             return
 
-        from ..perf.memo import curve_key
-        from ..perf.parallel import curve_cells
-        from ..perf.store import trace_digest
-
-        tasks: list[tuple] = []
-        pending: list[tuple[tuple[str, str], str]] = []
-        for cell in todo:
-            name, layout_name = cell
-            stream = self.lines(name, layout_name)
-            keysrc = trace_digest(stream) if self.store is not None else stream
-            digest = keysrc if isinstance(keysrc, str) else None
-            ckey = curve_key(keysrc)
-            cached = self.memo.get_curve(ckey) if self.memo is not None else None
-            if cached is not None:
-                self.counters["curve_memo_hits"] += 1
-                self._curves[cell] = cached
-            else:
-                tasks.append((self._ship_stream(stream, digest),))
-                pending.append((cell, ckey))
-        if tasks:
-            with self._stage("compose"), error_context(
-                "compose", program="precompute-footprints"
-            ):
-                start = time.perf_counter()
-                curves = curve_cells(tasks, pool=self.cell_pool(jobs))
-                self._sync_pool_counters()
-                self.counters["curve_passes"] += len(tasks)
-                self.counters["curve_seconds"] += time.perf_counter() - start
-            for (cell, ckey), curve in zip(pending, curves):
-                if self.memo is not None:
-                    self.memo.put_curve(ckey, curve)
-                self._curves[cell] = curve
+        streams = [self.lines(name, layout_name) for name, layout_name in todo]
+        with self._stage("compose"), error_context(
+            "compose", program="precompute-footprints"
+        ):
+            start = time.perf_counter()
+            curves, computed = self._fan_out(
+                [("curve", stream) for stream in streams], jobs, self.memo
+            )
+            self.counters["curve_passes"] += sum(computed)
+            self.counters["curve_memo_hits"] += len(todo) - sum(computed)
+            self.counters["curve_seconds"] += time.perf_counter() - start
+        self._curves.update(zip(todo, curves))
 
     def solo_miss(self, name: str, layout_name: str, channel: str = "hw") -> MissRatios:
         """Solo miss measurement through the given channel ('hw' or 'sim')."""
@@ -734,102 +687,60 @@ class Lab:
         for _, _, channel in cells:
             if channel not in ("sim", "hw"):
                 raise ValueError(f"unknown channel {channel!r}")
-        todo = [
-            (name, layout_name, channel)
-            for name, layout_name, channel in dict.fromkeys(tuple(c) for c in cells)
-            if (name, layout_name, channel) not in self._solo
-        ]
+        todo = _todo(cells, self._solo)
         if jobs <= 1 or len(todo) <= 1:
             for name, layout_name, channel in todo:
                 self.solo_miss(name, layout_name, channel)
             return
 
-        from ..perf.memo import histogram_key, memo_key
-        from ..perf.parallel import histogram_cells, simulate_cells
-        from ..perf.store import trace_digest
-
         n_sets = self.cache_cfg.n_sets
-        kernel_tasks: list[tuple] = []
-        kernel_pending: list[tuple[tuple[str, str, str], str]] = []
-        kernel_accesses = 0
-        tasks: list[tuple] = []
-        pending: list[tuple[tuple[str, str, str], str]] = []
-        task_accesses = 0
-        for cell in todo:
-            name, layout_name, channel = cell
-            stream = self.lines(name, layout_name)
-            # With a store, the content digest is computed once here and
-            # keys the memo entry *and* the store entry.
-            keysrc = trace_digest(stream) if self.store is not None else stream
-            digest = keysrc if isinstance(keysrc, str) else None
-            if channel == "sim":
-                hkey = histogram_key(keysrc, n_sets)
-                hist = self._hists.get((name, layout_name, n_sets))
-                if hist is None and self.memo is not None:
-                    hist = self.memo.get_histogram(hkey)
-                    if hist is not None:
-                        self._hists[(name, layout_name, n_sets)] = hist
-                if hist is not None:
-                    self.counters["kernel_cells"] += 1
-                    self._finish_solo_cell(cell, hist.stats(self.cache_cfg.assoc))
-                else:
-                    kernel_tasks.append((self._ship_stream(stream, digest), n_sets))
-                    kernel_pending.append((cell, hkey))
-                    kernel_accesses += len(stream)
-                continue
-            # The hw channel: the event-driven simulator with prefetch.
-            key = memo_key(keysrc, self.cache_cfg, prefetch=True)
-            cached = self.memo.get(key) if self.memo is not None else None
-            if cached is not None:
-                self._finish_solo_cell(cell, cached)
-            else:
-                tasks.append((self._ship_stream(stream, digest), self.cache_cfg, True))
-                pending.append((cell, key))
-                task_accesses += len(stream)
-
-        if kernel_tasks:
+        kernel = [
+            (name, layout_name)
+            for name, layout_name, channel in todo
+            if channel == "sim" and (name, layout_name, n_sets) not in self._hists
+        ]
+        if kernel:
+            streams = [self.lines(name, layout_name) for name, layout_name in kernel]
             with self._stage(
-                "simulate",
-                accesses=kernel_accesses,
-                kernel=True,
+                "simulate", accesses=sum(map(len, streams)), kernel=True
             ), error_context("simulate", program="precompute-solo"):
-                hists = histogram_cells(kernel_tasks, pool=self.cell_pool(jobs))
-                self._sync_pool_counters()
-                self.counters["kernel_passes"] += len(kernel_tasks)
-            for (cell, hkey), hist in zip(kernel_pending, hists):
-                if self.memo is not None:
-                    self.memo.put_histogram(hkey, hist)
-                name, layout_name, _ = cell
+                hists, computed = self._fan_out(
+                    [("histogram", stream, n_sets) for stream in streams],
+                    jobs,
+                    self.memo,
+                )
+                self.counters["kernel_passes"] += sum(computed)
+            for (name, layout_name), hist in zip(kernel, hists):
                 self._hists[(name, layout_name, n_sets)] = hist
-                self.counters["kernel_cells"] += 1
-                self._finish_solo_cell(cell, hist.stats(self.cache_cfg.assoc))
 
-        with self._stage(
-            "simulate", accesses=task_accesses
-        ), error_context("simulate", program="precompute-solo"):
-            results = simulate_cells(tasks, pool=self.cell_pool(jobs))
-            self._sync_pool_counters()
-        for (cell, key), stats in zip(pending, results):
-            if self.memo is not None:
-                self.memo.put(key, stats)
-            self._finish_solo_cell(cell, stats)
+        # The hw channel: the event-driven simulator with prefetch.
+        hw = [cell for cell in todo if cell[2] == "hw"]
+        if hw:
+            streams = [self.lines(name, layout_name) for name, layout_name, _ in hw]
+            with self._stage(
+                "simulate", accesses=sum(map(len, streams))
+            ), error_context("simulate", program="precompute-solo"):
+                stats, _ = self._fan_out(
+                    [("stats", stream, self.cache_cfg, True) for stream in streams],
+                    jobs,
+                    self.memo,
+                )
+            for (name, layout_name, _), cell_stats in zip(hw, stats):
+                reading = reading_from_stats(
+                    cell_stats,
+                    self.program(name).instr_count,
+                    self.cache_cfg,
+                    noise_sigma=self.noise_sigma,
+                    measurement_id=f"{name}/{layout_name}",
+                )
+                self._solo[(name, layout_name, "hw")] = MissRatios(
+                    reading.icache_misses, reading.instructions
+                )
 
-    def _finish_solo_cell(self, cell: tuple[str, str, str], stats: CacheStats) -> None:
-        """Convert raw cell stats into the memoized MissRatios entry."""
-        name, layout_name, channel = cell
-        prepared = self.program(name)
-        if channel == "sim":
-            result = MissRatios(stats.misses, prepared.instr_count)
-        else:
-            reading = reading_from_stats(
-                stats,
-                prepared.instr_count,
-                self.cache_cfg,
-                noise_sigma=self.noise_sigma,
-                measurement_id=f"{name}/{layout_name}",
-            )
-            result = MissRatios(reading.icache_misses, reading.instructions)
-        self._solo[cell] = result
+        # Every histogram is in hand now; the sim cells just read theirs.
+        for name, layout_name, channel in todo:
+            if channel == "sim":
+                self.solo_miss(name, layout_name, channel)
 
     def corun_miss(
         self,
@@ -917,6 +828,11 @@ class Lab:
         base = self.corun_timing((target, BASELINE), (probe, BASELINE))
         opt = self.corun_timing((target, layout_name), (probe, BASELINE))
         return base.corun_cycles[0] / opt.corun_cycles[0]
+
+
+def _todo(cells: Sequence[tuple], done: dict) -> list[tuple]:
+    """The distinct ``cells`` not yet in ``done``, in first-seen order."""
+    return [cell for cell in dict.fromkeys(tuple(c) for c in cells) if cell not in done]
 
 
 def _per_pass(stats: CacheStats, stream_len: int, instructions: int) -> MissRatios:

@@ -6,18 +6,14 @@ makes it fast without changing a single result:
 
 - :mod:`repro.perf.parallel` — process-pool fan-out at two levels:
   whole experiments (``python -m repro.experiments --jobs N``) and
-  independent simulation cells inside a pipeline
-  (:func:`~repro.perf.parallel.simulate_cells`);
+  independent ``(kind, stream, *params)`` cells inside a pipeline
+  (:func:`~repro.perf.parallel.memoized_cells`);
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
-  cache for cache simulations (:class:`~repro.perf.memo.SimMemo`),
-  keyed by hash of (line stream, geometry, prefetch flag, warm state);
-  stack-distance histograms get their own coarser keys
-  (:func:`~repro.perf.memo.histogram_key`: stream + ``n_sets`` only),
-  so one entry answers a whole associativity family; locality-model
-  analysis artifacts (w-affinity coverage tables, TRGs) are memoized
-  under :data:`~repro.perf.memo.ANALYSIS_SCHEMA` keys
-  (:func:`~repro.perf.memo.affinity_key`,
-  :func:`~repro.perf.memo.trg_key`: symbol stream + model parameters);
+  cache (:class:`~repro.perf.memo.SimMemo`) with one tier for the five
+  cached artifact kinds (:data:`~repro.perf.memo.KINDS`): sim stats,
+  stack-distance histograms, footprint curves, affinity coverage and
+  TRGs, each keyed by a hash of its stream and result-relevant
+  parameters;
 - :mod:`repro.perf.store` — a zero-copy, content-addressed trace store
   (:class:`~repro.perf.store.TraceStore`): int64 streams persist as
   mmap-backed ``.npy`` entries keyed by :func:`~repro.perf.store.trace_digest`
@@ -42,6 +38,8 @@ from .backends import (
 )
 from .memo import (
     ANALYSIS_SCHEMA,
+    KINDS,
+    ArtifactKind,
     SimMemo,
     affinity_key,
     analysis_key,
@@ -50,37 +48,32 @@ from .memo import (
     state_fingerprint,
     trg_key,
 )
-from .parallel import (
-    CellPool,
-    analysis_cells,
-    histogram_cells,
-    rebuild_error,
-    simulate_cells,
-)
+from .parallel import CellPool, compute_cells, memoized_cells, rebuild_error
 from .store import StoreRef, TraceStore, trace_digest
 from .telemetry import BENCH_SCHEMA, Telemetry, compare_journal_outcomes
 
 __all__ = [
     "ANALYSIS_SCHEMA",
+    "ArtifactKind",
     "BENCH_SCHEMA",
     "CellPool",
+    "KINDS",
     "KernelBackend",
     "SimMemo",
     "StoreRef",
     "Telemetry",
     "TraceStore",
     "affinity_key",
-    "analysis_cells",
     "analysis_key",
     "available_backends",
     "compare_journal_outcomes",
+    "compute_cells",
     "default_backend",
-    "histogram_cells",
     "histogram_key",
     "memo_key",
+    "memoized_cells",
     "rebuild_error",
     "resolve_backend",
-    "simulate_cells",
     "state_fingerprint",
     "trace_digest",
     "trg_key",

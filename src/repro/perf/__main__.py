@@ -454,7 +454,7 @@ def _run_store_bench(args) -> int:
 
     from ..experiments.pipeline import BASELINE, Lab
     from ..robust.atomic import atomic_write_text
-    from .parallel import CellPool, histogram_cells
+    from .parallel import CellPool, compute_cells
     from .store import TraceStore
 
     programs = [p for p in args.programs.split(",") if p]
@@ -463,22 +463,22 @@ def _run_store_bench(args) -> int:
     streams = [lab.lines(p, BASELINE) for p in programs]
 
     # The pickled path: every cell carries its full stream.
-    pickled_cells = [(s, n_sets) for s in streams]
+    pickled_cells = [("histogram", s, n_sets) for s in streams]
     pickled_bytes = sum(len(pickle.dumps(c)) for c in pickled_cells)
 
     with tempfile.TemporaryDirectory() as tmp:
         store = TraceStore(args.store_dir or tmp)
-        ref_cells = [(store.ref(s), n_sets) for s in streams]
+        ref_cells = [("histogram", store.ref(s), n_sets) for s in streams]
         ref_bytes = sum(len(pickle.dumps(c)) for c in ref_cells)
 
         t0 = time.perf_counter()
         with CellPool(args.jobs) as pool:
-            pickled_hists = histogram_cells(pickled_cells, pool=pool)
+            pickled_hists = compute_cells(pickled_cells, pool=pool)
         pickled_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with CellPool(args.jobs, store=store) as pool:
-            ref_hists = histogram_cells(ref_cells, pool=pool)
+            ref_hists = compute_cells(ref_cells, pool=pool)
         ref_s = time.perf_counter() - t0
 
     mismatches = [

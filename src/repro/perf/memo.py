@@ -1,26 +1,56 @@
-"""Content-addressed memoization of cache simulations.
+"""Content-addressed memoization of the evaluation's cached artifacts.
 
-The evaluation matrix re-simulates identical (line stream, cache
-geometry, prefetch flag) triples across experiments — the baseline
-stream of each study program alone is simulated by the intro table,
-Table I, Fig. 4, Fig. 5, and every co-run baseline.  :class:`SimMemo`
-keys each solo simulation by a content hash of its inputs and replays
-the stored :class:`~repro.cache.stats.CacheStats` instead of re-running
-the LRU loop.
+The evaluation matrix re-measures identical fetch streams across
+experiments — the baseline stream of each study program alone is
+simulated by the intro table, Table I, Fig. 4, Fig. 5, and every co-run
+baseline.  :class:`SimMemo` keys each derived artifact by a content hash
+of its inputs and replays the stored artifact instead of recomputing it.
+
+Artifact kinds
+--------------
+
+One tier serves five kinds of artifact.  An :class:`ArtifactKind` is a
+frozen record of everything that differs between them: its key
+function, the computation run on a miss, the schema tag and JSON codec
+of its entry, and what a lookup hands out.
+
+=============  ==============================  ====================  ==========
+kind           artifact (computed by)          key inputs            a lookup
+                                                                     returns
+=============  ==============================  ====================  ==========
+``stats``      :class:`CacheStats`             stream, geometry,     a fresh
+               (``setassoc.simulate``)         prefetch flag         object
+``histogram``  :class:`DistanceHistogram`      stream, ``n_sets``    the stored
+               (backend ``histogram``)                               object
+``curve``      :class:`FootprintCurve`         stream                the stored
+               (``footprint_curve``)                                 object
+``affinity``   :class:`AffinityCoverage`       trace, ``w_max``,     a fresh
+               (backend ``affinity``)          time horizon          object
+``trg``        :class:`~repro.core.trg.TRG`    trace, window         a fresh
+               (backend ``trg``)                                     object
+=============  ==============================  ====================  ==========
+
+Histograms and curves are immutable in practice, so the memory tier
+keeps the object and every lookup shares it.  The other kinds may be
+mutated by their callers (``reduce_trg`` consumes TRGs), so the memory
+tier keeps their JSON entry — the compact form — and every lookup
+decodes a fresh object from it.
+
+Each kind hashes its own schema tag into its keys (affinity and TRG
+share ``ANALYSIS_SCHEMA`` and differ in the model name), so keys never
+collide across kinds and one in-memory dict holds all of them.  A cell
+— the unit :mod:`repro.perf.parallel` fans out — is the tuple
+``(kind name, stream, *params)``; every kind callable takes the same
+``params`` after its first argument.
 
 Keying rules
 ------------
 
-The key is the SHA-256 of, in order:
-
-* a schema tag (bumped whenever the simulator's semantics change, so
-  stale caches can never leak across versions);
-* the cache geometry (``size_bytes``/``assoc``/``line_bytes``);
-* the prefetch flag;
-* the warm-state fingerprint — ``cold`` for a fresh cache, otherwise a
-  digest of the exact set contents and pending prefetch tags;
-* the stream's content digest (:func:`repro.perf.store.trace_digest`:
-  SHA-256 over the stream canonicalized to little-endian ``int64``).
+A key is the SHA-256 of the kind's schema tag (bumped whenever the
+computation's semantics change, so stale caches can never leak across
+versions), its parameters, and the stream's content digest
+(:func:`repro.perf.store.trace_digest`: SHA-256 over the stream
+canonicalized to little-endian ``int64``).
 
 Hashing the *digest* rather than the raw bytes is what unifies memo
 keys with :class:`~repro.perf.store.TraceStore` keys: the store's
@@ -28,19 +58,21 @@ content key **is** the digest, so every key function here accepts
 either the array or its digest string — a caller who already published
 a stream derives all of its memo keys without rehashing the bytes.
 
-Two calls share a key iff :func:`repro.cache.setassoc.simulate` would
-return identical stats for them.
+The kernel backend never enters a key: every tier is bit-identical by
+contract, so an entry written by one tier is a hit for every other.
 
-Warm-state **mutating** calls (``state=`` given) are *keyed* but never
-*replayed*: a memo hit cannot reproduce the in-place state mutation the
-caller asked for, so those calls pass through to the simulator and are
-counted in :attr:`SimMemo.bypasses`.
+Warm-state **mutating** simulations (``state=`` given) are *keyed* but
+never *replayed*: a memo hit cannot reproduce the in-place state
+mutation the caller asked for, so those calls pass through to the
+simulator and are counted in :attr:`SimMemo.bypasses`.
 
 Persistence is one JSON file per key under ``cache_dir``, written with
 the crash-safe :func:`repro.robust.atomic.atomic_write_text` protocol —
-a killed run leaves complete entries or none.  Unreadable or
-schema-mismatched entries are treated as misses and dropped, never
-raised: a cache must degrade to recomputation, not to failure.
+a killed run leaves complete entries or none.  Unreadable,
+schema-mismatched or otherwise undecodable entries (an affinity entry
+whose parameters do not match its key included) are treated as misses
+and dropped, never raised: a cache must degrade to recomputation, not
+to failure.
 
 Degradation and concurrency
 ---------------------------
@@ -57,22 +89,11 @@ stays on the degrade-to-recomputation path and is likewise no strike.
 Concurrent writers computing the same key are de-duplicated with a
 per-key advisory file lock (``flock`` on ``{key}.lock``): the loser
 blocks until the winner publishes, then replays the winner's entry
-instead of repeating the simulation.  ``flock`` locks die with their
-holder, so a killed winner can never deadlock the losers.  When the
-platform has no ``fcntl`` the lock degrades to a no-op — both writers
-compute, and the atomic rename keeps the entry intact either way.
-
-Kernel histograms
------------------
-
-The stack-distance kernel (:mod:`repro.cache.fastsim`) makes a coarser
-memo unit worthwhile: its :class:`~repro.cache.fastsim.DistanceHistogram`
-depends only on ``(line stream, n_sets)`` — not on ``line_bytes``,
-``size_bytes``, or ``assoc`` — so one stored histogram answers every
-associativity of a geometry family.  :func:`histogram_key` keys those
-entries under the separate ``KERNEL_SCHEMA`` tag, and
-:meth:`SimMemo.histogram` / :meth:`SimMemo.simulate_fast` memoize the
-histogram itself rather than a single :class:`CacheStats`.
+instead of repeating the computation — one lookup, counted once, as a
+hit.  ``flock`` locks die with their holder, so a killed winner can
+never deadlock the losers.  When the platform has no ``fcntl`` the lock
+degrades to a no-op — both writers compute, and the atomic rename keeps
+the entry intact either way.
 """
 
 from __future__ import annotations
@@ -80,8 +101,9 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -91,19 +113,29 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from ..cache.config import CacheConfig
-from ..cache.fastsim import DistanceHistogram, stack_distance_histogram
+from ..cache.fastsim import DistanceHistogram
 from ..cache.setassoc import CacheState, simulate
 from ..cache.stats import CacheStats
+from ..core.fastanalysis import AffinityCoverage, trg_from_payload, trg_to_payload
 from ..locality.footprint import FootprintCurve, footprint_curve
 from ..robust.atomic import atomic_write_text
 from ..robust.faults import MEMO_READ, MEMO_WRITE, maybe_io_fault
 from ..robust.supervisor import CircuitBreaker
+from .backends import resolve_backend
 from .store import trace_digest
 
 __all__ = [
+    "AFFINITY_KIND",
+    "ArtifactKind",
+    "CURVE_KIND",
+    "HISTOGRAM_KIND",
+    "KINDS",
+    "STATS_KIND",
     "SimMemo",
+    "TRG_KIND",
     "affinity_key",
     "analysis_key",
+    "artifact_kind",
     "curve_key",
     "histogram_key",
     "memo_key",
@@ -218,8 +250,121 @@ def histogram_key(lines, n_sets: int) -> str:
     ).hexdigest()
 
 
+# -- artifact kinds -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ArtifactKind:
+    """How one kind of artifact is keyed, computed, stored and handed out.
+
+    ``params`` below are the cell's parameters after its stream, in the
+    order the kind's cells carry them (see the module docstring).
+    """
+
+    name: str
+    #: tag stored in (and checked against) every entry of this kind.
+    schema: str
+    #: ``key(stream or its digest, *params)`` -> hex key.
+    key: Callable[..., str]
+    #: ``compute(backend, stream, *params)`` -> artifact, run on a miss.
+    compute: Callable[..., Any]
+    #: ``encode(artifact, *params)`` -> the entry's fields besides schema.
+    encode: Callable[..., dict]
+    #: ``decode(entry, *params)`` -> artifact; raises ``ValueError`` /
+    #: ``TypeError`` / ``KeyError`` on an entry it cannot trust.
+    decode: Callable[..., Any]
+    #: True: memory keeps the artifact and every lookup shares it.
+    #: False: memory keeps the entry and every lookup decodes a fresh one.
+    shared: bool
+
+
+def _decode_affinity(
+    raw: dict, w_max: int, time_horizon: Optional[int]
+) -> AffinityCoverage:
+    covg = AffinityCoverage.from_dict(raw)
+    if covg.w_max != w_max or covg.time_horizon != time_horizon:
+        raise ValueError("analysis entry parameters do not match key")
+    return covg
+
+
+STATS_KIND = ArtifactKind(
+    name="stats",
+    schema=SCHEMA,
+    key=lambda lines, cfg, prefetch: memo_key(lines, cfg, prefetch=prefetch),
+    compute=lambda backend, lines, cfg, prefetch: simulate(
+        lines, cfg, prefetch=prefetch
+    ),
+    encode=lambda stats, *_: {f: getattr(stats, f) for f in _STATS_FIELDS},
+    decode=lambda raw, *_: CacheStats(**{f: int(raw[f]) for f in _STATS_FIELDS}),
+    shared=False,
+)
+
+HISTOGRAM_KIND = ArtifactKind(
+    name="histogram",
+    schema=KERNEL_SCHEMA,
+    key=histogram_key,
+    compute=lambda backend, lines, n_sets: backend.histogram(lines, n_sets),
+    encode=lambda hist, *_: hist.to_dict(),
+    decode=lambda raw, *_: DistanceHistogram.from_dict(raw),
+    shared=True,
+)
+
+CURVE_KIND = ArtifactKind(
+    name="curve",
+    schema=CURVE_SCHEMA,
+    key=curve_key,
+    compute=lambda backend, lines: footprint_curve(np.asarray(lines)),
+    # JSON round-trips floats through ``repr``, so a reloaded curve is
+    # bit-identical to the stored one — composition parity survives
+    # persistence.
+    encode=FootprintCurve.to_dict,
+    decode=FootprintCurve.from_dict,
+    shared=True,
+)
+
+AFFINITY_KIND = ArtifactKind(
+    name="affinity",
+    schema=ANALYSIS_SCHEMA,
+    key=lambda trace, w_max, time_horizon: affinity_key(
+        trace, w_max=w_max, time_horizon=time_horizon
+    ),
+    compute=lambda backend, trace, w_max, time_horizon: backend.affinity(
+        trace, w_max=w_max, time_horizon=time_horizon
+    ),
+    encode=lambda covg, *_: covg.to_dict(),
+    decode=_decode_affinity,
+    shared=False,
+)
+
+TRG_KIND = ArtifactKind(
+    name="trg",
+    schema=ANALYSIS_SCHEMA,
+    key=lambda trace, window_blocks: trg_key(trace, window_blocks=window_blocks),
+    compute=lambda backend, trace, window_blocks: backend.trg(trace, window_blocks),
+    encode=trg_to_payload,
+    decode=lambda raw, *_: trg_from_payload(raw),
+    shared=False,
+)
+
+#: every kind, by the name its cells carry.
+KINDS: dict[str, ArtifactKind] = {
+    kind.name: kind
+    for kind in (STATS_KIND, HISTOGRAM_KIND, CURVE_KIND, AFFINITY_KIND, TRG_KIND)
+}
+
+
+def artifact_kind(name: str) -> ArtifactKind:
+    """The kind a cell names; ``ValueError`` for an unknown name."""
+    kind = KINDS.get(name)
+    if kind is None:
+        raise ValueError(
+            f"unknown artifact kind {name!r}; known: {', '.join(KINDS)}"
+        )
+    return kind
+
+
 class SimMemo:
-    """Memo cache for :func:`repro.cache.setassoc.simulate` results.
+    """Memo cache for every :class:`ArtifactKind`.
 
     Parameters
     ----------
@@ -232,10 +377,10 @@ class SimMemo:
         the memo keeps answering from memory and recomputation while
         ``degraded`` counts the skipped disk operations.
 
-    Counters: ``hits`` / ``misses`` split lookups; ``bypasses`` counts
-    warm-state mutating calls that skipped the memo entirely;
-    ``disk_failures`` / ``degraded`` / ``lock_waits`` track the disk
-    tier's health (see the module docstring).
+    Counters: ``hits`` / ``misses`` split lookups, each counted once;
+    ``bypasses`` counts warm-state mutating calls that skipped the memo
+    entirely; ``disk_failures`` / ``degraded`` / ``lock_waits`` track
+    the disk tier's health (see the module docstring).
     """
 
     def __init__(
@@ -246,10 +391,8 @@ class SimMemo:
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._mem: dict[str, CacheStats] = {}
-        self._mem_hist: dict[str, DistanceHistogram] = {}
-        self._mem_analysis: dict[str, dict] = {}
-        self._mem_curve: dict[str, FootprintCurve] = {}
+        #: decoded artifacts of every kind (keys are schema-distinct).
+        self._mem: dict[str, Any] = {}
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -348,51 +491,91 @@ class SimMemo:
                 pass
             fh.close()
 
-    def get(self, key: str) -> Optional[CacheStats]:
-        """Stored stats for ``key``, counting the lookup as hit or miss."""
-        stats = self._peek(key)
-        if stats is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return stats
+    def _peek(self, kind: ArtifactKind, key: str, params: tuple):
+        """The artifact stored under ``key``, or None; no counters.
 
-    def _peek(self, key: str) -> Optional[CacheStats]:
-        stats = self._mem.get(key)
-        if stats is not None:
-            return _copy(stats)
-        if self.cache_dir is None:
-            return None
-        path = self._entry_path(key)
-        text = self._disk_read(path)
-        if text is None:
-            return None
+        An entry that fails to decode — corrupt, stale schema, or
+        parameters that do not match the key — is dropped, so the
+        caller recomputes and overwrites it.
+        """
+        held = self._mem.get(key)
+        if held is not None and kind.shared:
+            return held
+        if held is None:
+            if self.cache_dir is None:
+                return None
+            text = self._disk_read(self._entry_path(key))
+            if text is None:
+                return None
         try:
-            raw = json.loads(text)
-            if raw.get("schema") != SCHEMA:
-                raise ValueError(f"schema {raw.get('schema')!r}")
-            stats = CacheStats(**{f: int(raw[f]) for f in _STATS_FIELDS})
-        except (ValueError, TypeError, KeyError):
+            entry = json.loads(text) if held is None else held
+            if entry.get("schema") != kind.schema:
+                raise ValueError(f"schema {entry.get('schema')!r}")
+            artifact = kind.decode(entry, *params)
+        except (ValueError, TypeError, KeyError, AttributeError):
             # Corrupt or stale entry: a cache degrades to recomputation.
-            self._drop_entry(path)
+            self._mem.pop(key, None)
+            if held is None:
+                self._drop_entry(self._entry_path(key))
             return None
-        self._mem[key] = stats
-        return _copy(stats)
+        self._mem[key] = artifact if kind.shared else entry
+        return artifact
 
-    def put(self, key: str, stats: CacheStats) -> None:
-        """Store ``stats`` under ``key`` (in memory, and on disk if enabled)."""
-        self._mem[key] = _copy(stats)
+    def get(self, kind: ArtifactKind, key: str, *params):
+        """The stored artifact for ``key``, counting the lookup as a hit
+        or a miss; ``params`` are the cell's (affinity entries are
+        checked against them)."""
+        artifact = self._peek(kind, key, params)
+        if artifact is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return artifact
+
+    def put(self, kind: ArtifactKind, key: str, artifact, *params) -> None:
+        """Store ``artifact`` under ``key`` (in memory, and on disk if
+        enabled).  For unshared kinds memory keeps only the entry, never
+        the caller's object."""
+        entry = None
+        if self.cache_dir is not None or not kind.shared:
+            entry = {"schema": kind.schema, **kind.encode(artifact, *params)}
+        self._mem[key] = artifact if kind.shared else entry
         if self.cache_dir is not None:
-            payload = {"schema": SCHEMA}
-            payload.update({f: getattr(stats, f) for f in _STATS_FIELDS})
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+            self._disk_write(self._entry_path(key), json.dumps(entry, sort_keys=True))
+
+    def get_or_compute(
+        self, kind: ArtifactKind, lines, *params, backend=None
+    ) -> tuple[Any, bool]:
+        """The artifact for ``(lines, *params)`` and whether this call
+        computed it.
+
+        A miss takes the key's lock and re-checks the entry if another
+        writer held it; only then does it compute — on ``backend``, the
+        fastest tier when None — and store.  Either way the lookup is
+        counted once.
+        """
+        key = kind.key(lines, *params)
+        artifact = self._peek(kind, key, params)
+        if artifact is None:
+            with self._key_lock(key) as waited:
+                if waited:
+                    # The lock's previous holder computed this very key;
+                    # replay its published entry instead of repeating
+                    # the computation.
+                    artifact = self._peek(kind, key, params)
+                if artifact is None:
+                    self.misses += 1
+                    artifact = kind.compute(
+                        backend or resolve_backend(), lines, *params
+                    )
+                    self.put(kind, key, artifact, *params)
+                    return artifact, True
+        self.hits += 1
+        return artifact, False
 
     def invalidate(self, key: str) -> bool:
         """Drop ``key`` from memory and disk; True if anything was removed."""
         removed = self._mem.pop(key, None) is not None
-        removed = self._mem_hist.pop(key, None) is not None or removed
-        removed = self._mem_analysis.pop(key, None) is not None or removed
-        removed = self._mem_curve.pop(key, None) is not None or removed
         if self.cache_dir is not None:
             path = self._entry_path(key)
             if path.exists():
@@ -403,7 +586,7 @@ class SimMemo:
             self._drop_entry(self.cache_dir / f"{key}.lock")
         return removed
 
-    # -- the memoizing simulator ------------------------------------------
+    # -- the memoized computations -----------------------------------------
 
     def simulate(
         self,
@@ -421,218 +604,18 @@ class SimMemo:
         if state is not None:
             self.bypasses += 1
             return simulate(lines, cfg, prefetch=prefetch, state=state)
-        key = memo_key(lines, cfg, prefetch=prefetch)
-        stats = self.get(key)
-        if stats is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    # The lock's previous holder computed this very key;
-                    # replay its published entry instead of repeating
-                    # the simulation.
-                    stats = self._peek(key)
-                    if stats is not None:
-                        self.hits += 1
-                if stats is None:
-                    stats = simulate(lines, cfg, prefetch=prefetch)
-                    self.put(key, stats)
-        return stats
-
-    # -- kernel histograms (repro.cache.fastsim) ---------------------------
-
-    def _peek_histogram(self, key: str) -> Optional[DistanceHistogram]:
-        hist = self._mem_hist.get(key)
-        if hist is None and self.cache_dir is not None:
-            path = self._entry_path(key)
-            text = self._disk_read(path)
-            if text is not None:
-                try:
-                    raw = json.loads(text)
-                    if raw.get("schema") != KERNEL_SCHEMA:
-                        raise ValueError(f"schema {raw.get('schema')!r}")
-                    hist = DistanceHistogram.from_dict(raw)
-                except (ValueError, TypeError, KeyError):
-                    self._drop_entry(path)
-                    hist = None
-            if hist is not None:
-                self._mem_hist[key] = hist
-        return hist
-
-    def get_histogram(self, key: str) -> Optional[DistanceHistogram]:
-        """Stored histogram for ``key``, counted as a hit or miss."""
-        hist = self._peek_histogram(key)
-        if hist is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return hist
-
-    def put_histogram(self, key: str, hist: DistanceHistogram) -> None:
-        """Store ``hist`` under ``key`` (in memory, and on disk if enabled)."""
-        self._mem_hist[key] = hist
-        if self.cache_dir is not None:
-            payload = {"schema": KERNEL_SCHEMA}
-            payload.update(hist.to_dict())
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+        return self.get_or_compute(STATS_KIND, lines, cfg, prefetch)[0]
 
     def histogram(
         self, lines: np.ndarray, n_sets: int, *, backend=None
     ) -> DistanceHistogram:
-        """Memoized :func:`repro.cache.fastsim.stack_distance_histogram`.
-
-        The histogram is immutable in practice (``misses()`` only builds
-        an internal suffix sum), so the stored object is returned
-        directly — no per-call copy.
-
-        ``backend`` (a :class:`repro.perf.backends.KernelBackend`) picks
-        the construction used on a miss.  It deliberately does NOT enter
-        the key: every tier is bit-identical by contract, so entries are
-        shared across backends (pinned by the cross-backend memo-hit
-        test).
-        """
-        key = histogram_key(lines, n_sets)
-        hist = self.get_histogram(key)
-        if hist is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    hist = self._peek_histogram(key)
-                    if hist is not None:
-                        self.hits += 1
-                if hist is None:
-                    if backend is not None:
-                        hist = backend.histogram(lines, n_sets)
-                    else:
-                        hist = stack_distance_histogram(lines, n_sets)
-                    self.put_histogram(key, hist)
-        return hist
-
-    def simulate_fast(
-        self, lines: np.ndarray, cfg: CacheConfig, *, backend=None
-    ) -> CacheStats:
-        """Memoized :func:`repro.cache.fastsim.simulate_fast` (cold, no
-        prefetch); one histogram entry serves every ``assoc`` of this
-        ``n_sets``."""
-        return self.histogram(lines, cfg.n_sets, backend=backend).stats(cfg.assoc)
-
-    # -- footprint curves (repro.locality.footprint) ------------------------
-
-    def _peek_curve(self, key: str) -> Optional[FootprintCurve]:
-        curve = self._mem_curve.get(key)
-        if curve is None and self.cache_dir is not None:
-            path = self._entry_path(key)
-            text = self._disk_read(path)
-            if text is not None:
-                try:
-                    raw = json.loads(text)
-                    if raw.get("schema") != CURVE_SCHEMA:
-                        raise ValueError(f"schema {raw.get('schema')!r}")
-                    curve = FootprintCurve.from_dict(raw)
-                except (ValueError, TypeError, KeyError):
-                    self._drop_entry(path)
-                    curve = None
-            if curve is not None:
-                self._mem_curve[key] = curve
-        return curve
-
-    def get_curve(self, key: str) -> Optional[FootprintCurve]:
-        """Stored footprint curve for ``key``, counted as a hit or miss."""
-        curve = self._peek_curve(key)
-        if curve is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return curve
-
-    def put_curve(self, key: str, curve: FootprintCurve) -> None:
-        """Store ``curve`` under ``key`` (in memory, and on disk if enabled).
-
-        JSON round-trips floats through ``repr``, so a reloaded curve is
-        bit-identical to the stored one — composition parity survives
-        persistence.
-        """
-        self._mem_curve[key] = curve
-        if self.cache_dir is not None:
-            payload = {"schema": CURVE_SCHEMA}
-            payload.update(curve.to_dict())
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+        """Memoized stack-distance histogram; one entry answers every
+        associativity at ``n_sets``."""
+        return self.get_or_compute(HISTOGRAM_KIND, lines, n_sets, backend=backend)[0]
 
     def footprint_curve(self, lines: np.ndarray) -> FootprintCurve:
-        """Memoized :func:`repro.locality.footprint.footprint_curve`.
-
-        The curve is immutable in practice (readers only index ``fp``),
-        so the stored object is returned directly — no per-call copy.
-        """
-        key = curve_key(lines)
-        curve = self.get_curve(key)
-        if curve is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    curve = self._peek_curve(key)
-                    if curve is not None:
-                        self.hits += 1
-                if curve is None:
-                    curve = footprint_curve(np.asarray(lines))
-                    self.put_curve(key, curve)
-        return curve
-
-    # -- analysis artifacts (repro.core.fastanalysis) -----------------------
-
-    def _peek_analysis(self, key: str, parse):
-        """Load + parse an analysis payload without touching counters.
-
-        ``parse`` raises ``ValueError`` on malformed payloads, which —
-        like any other corruption — degrades to a miss (and an unlink on
-        disk), never to a failure or a silently wrong artifact.
-        """
-        raw = self._mem_analysis.get(key)
-        if raw is not None:
-            try:
-                return parse(raw)
-            except (ValueError, TypeError, KeyError):
-                self._mem_analysis.pop(key, None)
-        if self.cache_dir is not None:
-            path = self._entry_path(key)
-            text = self._disk_read(path)
-            if text is not None:
-                try:
-                    raw = json.loads(text)
-                    if raw.get("schema") != ANALYSIS_SCHEMA:
-                        raise ValueError(f"schema {raw.get('schema')!r}")
-                    obj = parse(raw)
-                except (ValueError, TypeError, KeyError):
-                    self._drop_entry(path)
-                else:
-                    self._mem_analysis[key] = raw
-                    return obj
-        return None
-
-    def _get_analysis(self, key: str, parse):
-        """Load + parse an analysis payload; hit/miss counted."""
-        obj = self._peek_analysis(key, parse)
-        if obj is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return obj
-
-    def has_analysis(self, key: str) -> bool:
-        """True if an entry exists for ``key`` (no counters, no parse).
-
-        A planning probe for batch precomputation: existence does not
-        guarantee validity — a corrupt entry will still degrade to a
-        recomputation at consumption time.
-        """
-        if key in self._mem_analysis:
-            return True
-        return self.cache_dir is not None and self._entry_path(key).exists()
-
-    def put_analysis(self, key: str, payload: dict) -> None:
-        """Store an analysis payload (in memory, and on disk if enabled)."""
-        payload = {"schema": ANALYSIS_SCHEMA, **payload}
-        self._mem_analysis[key] = payload
-        if self.cache_dir is not None:
-            self._disk_write(
-                self._entry_path(key), json.dumps(payload, sort_keys=True)
-            )
+        """Memoized :func:`repro.locality.footprint.footprint_curve`."""
+        return self.get_or_compute(CURVE_KIND, lines)[0]
 
     def affinity_coverage(
         self,
@@ -641,77 +624,16 @@ class SimMemo:
         w_max: int,
         time_horizon: Optional[int] = None,
         backend=None,
-    ):
-        """Memoized :func:`repro.core.fastanalysis.affinity_coverage`.
+    ) -> AffinityCoverage:
+        """Memoized affinity coverage; one entry answers every
+        ``coverage`` threshold and every ``w <= w_max``."""
+        return self.get_or_compute(
+            AFFINITY_KIND, trace, w_max, time_horizon, backend=backend
+        )[0]
 
-        One entry answers every ``coverage`` threshold and every
-        ``w <= w_max`` (both are applied at query time).  ``backend``
-        picks the kernel tier used on a miss and never enters the key
-        (tiers are bit-identical by contract).
-        """
-        from ..core.fastanalysis import AffinityCoverage, affinity_coverage
-
-        key = affinity_key(trace, w_max=w_max, time_horizon=time_horizon)
-
-        def parse(raw: dict):
-            covg = AffinityCoverage.from_dict(raw)
-            if covg.w_max != w_max or covg.time_horizon != time_horizon:
-                raise ValueError("analysis entry parameters do not match key")
-            return covg
-
-        covg = self._get_analysis(key, parse)
-        if covg is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    covg = self._peek_analysis(key, parse)
-                    if covg is not None:
-                        self.hits += 1
-                if covg is None:
-                    if backend is not None:
-                        covg = backend.affinity(
-                            trace, w_max=w_max, time_horizon=time_horizon
-                        )
-                    else:
-                        covg = affinity_coverage(
-                            trace, w_max=w_max, time_horizon=time_horizon
-                        )
-                    self.put_analysis(key, covg.to_dict())
-        return covg
-
-    def trg(
-        self,
-        trace: np.ndarray,
-        *,
-        window_blocks: Optional[int] = None,
-        backend=None,
-    ):
-        """Memoized :func:`repro.core.fastanalysis.build_trg_fast`.
-
-        Always returns a *fresh* :class:`~repro.core.trg.TRG` — callers
-        may hand the graph to mutating consumers.  ``backend`` picks the
-        kernel tier used on a miss and never enters the key.
-        """
-        from ..core.fastanalysis import (
-            build_trg_fast,
-            trg_from_payload,
-            trg_to_payload,
-        )
-
-        key = trg_key(trace, window_blocks=window_blocks)
-        trg = self._get_analysis(key, trg_from_payload)
-        if trg is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    trg = self._peek_analysis(key, trg_from_payload)
-                    if trg is not None:
-                        self.hits += 1
-                if trg is None:
-                    if backend is not None:
-                        trg = backend.trg(trace, window_blocks)
-                    else:
-                        trg = build_trg_fast(trace, window_blocks=window_blocks)
-                    self.put_analysis(key, trg_to_payload(trg, window_blocks))
-        return trg
+    def trg(self, trace: np.ndarray, *, window_blocks: Optional[int] = None, backend=None):
+        """Memoized TRG build; always a fresh graph."""
+        return self.get_or_compute(TRG_KIND, trace, window_blocks, backend=backend)[0]
 
     # -- introspection -----------------------------------------------------
 
@@ -746,7 +668,7 @@ class SimMemo:
         if self.cache_dir is None or not self.cache_dir.exists():
             return (0, 0)
         kept = dropped = 0
-        valid = (SCHEMA, KERNEL_SCHEMA, ANALYSIS_SCHEMA, CURVE_SCHEMA)
+        valid = {kind.schema for kind in KINDS.values()}
         for path in sorted(self.cache_dir.iterdir()):
             if path.suffix in (".lock", ".tmp"):
                 self._drop_entry(path)
@@ -755,7 +677,7 @@ class SimMemo:
                 continue
             try:
                 ok = json.loads(path.read_text()).get("schema") in valid
-            except (OSError, ValueError):
+            except (OSError, ValueError, AttributeError):
                 ok = False
             if ok:
                 kept += 1
@@ -763,13 +685,3 @@ class SimMemo:
                 self._drop_entry(path)
                 dropped += 1
         return (kept, dropped)
-
-
-def _copy(stats: CacheStats) -> CacheStats:
-    """Callers may mutate returned stats; never alias the stored entry."""
-    return CacheStats(
-        accesses=stats.accesses,
-        misses=stats.misses,
-        prefetches=stats.prefetches,
-        prefetch_hits=stats.prefetch_hits,
-    )

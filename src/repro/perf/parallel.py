@@ -16,16 +16,17 @@ pool type each:
   submission order**, so output, journal, and outcomes are identical to
   a serial run (modulo wall-clock fields).
 
-* **cell level** — :class:`CellPool` maps independent cells:
-  :func:`simulate_cells` (line stream, cache config, prefetch)
-  simulations, :func:`histogram_cells` (line stream, n_sets)
-  stack-distance histograms that answer every associativity of a
-  geometry family at once, :func:`analysis_cells` locality-model
-  analyses and :func:`curve_cells` footprint curves.
-  :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`
-  and the :class:`~repro.compiler.driver.Driver` evaluation stage use
-  it for intra-experiment parallelism; a ``CellPool(1)`` is a plain
-  serial loop in the calling process.
+* **cell level** — :class:`CellPool` maps independent cells.  A cell
+  is ``(kind, stream, *params)``, ``kind`` naming one of the five
+  :class:`~repro.perf.memo.ArtifactKind` s (sim stats, stack-distance
+  histograms, footprint curves, affinity coverage, TRGs), and one cell
+  function, :func:`_compute_cell`, computes any of them.
+  :func:`compute_cells` maps cells as they are; :func:`memoized_cells`
+  is the memo-aware fan-out — it answers what the memo holds, ships
+  only the misses and stores their results.  The
+  :class:`~repro.compiler.driver.Driver` evaluation stage and
+  ``Lab.precompute_{solo,footprints,layouts}`` all go through it; a
+  ``CellPool(1)`` is a plain serial loop in the calling process.
 
 Cell traffic is zero-copy when a :class:`~repro.perf.store.TraceStore`
 is attached: a cell's stream argument may be a
@@ -44,6 +45,7 @@ enforce exactly that.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -51,8 +53,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..cache.fastsim import DistanceHistogram
-from ..cache.stats import CacheStats
 from ..robust.errors import (
     ArtifactError,
     ProfileError,
@@ -61,15 +61,13 @@ from ..robust.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from .store import StoreRef, TraceStore
+from .store import StoreRef, TraceStore, trace_digest
 
 __all__ = [
     "CellPool",
-    "analysis_cells",
-    "curve_cells",
-    "histogram_cells",
+    "compute_cells",
+    "memoized_cells",
     "rebuild_error",
-    "simulate_cells",
 ]
 
 #: the per-process Lab of an experiment worker (set by the initializer).
@@ -267,8 +265,7 @@ class CellPool:
     """A persistent pool of cell-kernel workers, reused across fan-outs.
 
     The throwaway-pool model paid process startup (and, via ``fork``,
-    page-table duplication) on *every* ``simulate_cells`` /
-    ``histogram_cells`` / ``analysis_cells`` call.  A ``CellPool`` is
+    page-table duplication) on *every* fan-out.  A ``CellPool`` is
     owned by its Lab/Driver, spawns workers on first use, keeps them
     alive across calls (``reuses`` counts the amortized fan-outs), and
     submits cells in batches of roughly ``2 * jobs`` per map so the IPC
@@ -395,101 +392,89 @@ class CellPool:
         self.shutdown()
 
 
-def _simulate_cell(cell: tuple) -> tuple[int, int, int, int]:
-    from ..cache.setassoc import simulate
-
-    lines, cfg, prefetch = cell
-    stats = simulate(_resolve_stream(lines), cfg, prefetch=prefetch)
-    return (stats.accesses, stats.misses, stats.prefetches, stats.prefetch_hits)
+def _store_ref(store: Optional[TraceStore], stream, digest: Optional[str]):
+    """``stream`` as its zero-copy ref when there is a store, else as is."""
+    return stream if store is None else store.ref(stream, key=digest)
 
 
-def simulate_cells(cells: list[tuple], *, pool: CellPool) -> list[CacheStats]:
-    """Simulate independent (lines, cfg, prefetch) cells on ``pool``.
+def _compute_cell(cell: tuple):
+    """One ``(kind, stream, *params)`` cell computed on this process's
+    kernel backend — the cell function every fan-out ships."""
+    from .memo import artifact_kind
 
-    ``lines`` may be an array or a :class:`~repro.perf.store.StoreRef`.
-    Results are positionally aligned with ``cells`` and bit-identical to
-    serial :func:`repro.cache.setassoc.simulate` calls — the cells share
-    no state, so execution order cannot matter.
+    name, lines, *params = cell
+    return artifact_kind(name).compute(
+        _cell_backend(), _resolve_stream(lines), *params
+    )
+
+
+def compute_cells(cells: list[tuple], *, pool: CellPool) -> list:
+    """Compute independent ``(kind, stream, *params)`` cells on ``pool``.
+
+    ``kind`` names an :class:`~repro.perf.memo.ArtifactKind` and
+    ``stream`` may be an array or a :class:`~repro.perf.store.StoreRef`.
+    Artifacts cross the process boundary pickled (exact, floats
+    included) and come back positionally aligned with ``cells`` and
+    identical to serial computations — the cells share no state and the
+    kernels are deterministic, so execution order cannot matter.
     """
-    raw = pool.map(_simulate_cell, cells)
-    return [
-        CacheStats(accesses=a, misses=m, prefetches=p, prefetch_hits=h)
-        for (a, m, p, h) in raw
-    ]
+    return pool.map(_compute_cell, cells)
 
 
-def _analysis_cell(cell: tuple) -> dict:
-    from ..core.fastanalysis import trg_to_payload
+def memoized_cells(
+    cells: list[tuple],
+    *,
+    pool: CellPool,
+    memo=None,
+    ship: Optional[Callable[[Any, Optional[str]], Any]] = None,
+    fn: Callable[[tuple], Any] = _compute_cell,
+) -> tuple[list, list[bool]]:
+    """Answer ``(kind, stream, *params)`` cells from ``memo``, computing
+    only its misses on ``pool``.
 
-    backend = _cell_backend()
-    kind = cell[0]
-    if kind == "affinity":
-        _, trace, w_max, time_horizon = cell
-        return backend.affinity(
-            _resolve_stream(trace), w_max=w_max, time_horizon=time_horizon
-        ).to_dict()
-    if kind == "trg":
-        _, trace, window_blocks = cell
-        return trg_to_payload(
-            backend.trg(_resolve_stream(trace), window_blocks),
-            window_blocks,
-        )
-    raise ValueError(f"unknown analysis cell kind {kind!r}")
+    Each distinct key is looked up once, counted as a hit or a miss;
+    cells repeating a key get the same artifact object.  Misses ship
+    through ``ship(stream, digest)`` — by default the pool store's
+    :class:`~repro.perf.store.StoreRef` when it has one, else the array
+    — run ``fn`` (default :func:`_compute_cell`) and are stored back.
+    Streams are hashed only when there is a memo or a store to key.
 
-
-def analysis_cells(cells: list[tuple], *, pool: CellPool) -> list[dict]:
-    """Compute independent locality-model analysis cells on ``pool``.
-
-    Each cell is ``("affinity", trace, w_max, time_horizon)`` or
-    ``("trg", trace, window_blocks)`` — the shape produced by
-    :func:`repro.core.optimizers.analysis_cell`, with ``trace`` either
-    the array or its :class:`~repro.perf.store.StoreRef`.  Results are
-    the artifacts' JSON payloads (picklable, and exactly what
-    :meth:`repro.perf.memo.SimMemo.put_analysis` stores), positionally
-    aligned with ``cells`` and identical to serial kernel runs — the
-    kernels are deterministic, so fan-out cannot change any layout.
+    Returns the artifacts, aligned with ``cells``, and for each cell
+    whether this call computed its artifact.
     """
-    return pool.map(_analysis_cell, cells)
+    from .memo import artifact_kind
 
-
-def _histogram_cell(cell: tuple) -> dict:
-    lines, n_sets = cell
-    return _cell_backend().histogram(_resolve_stream(lines), n_sets).to_dict()
-
-
-def _curve_cell(cell: tuple) -> dict:
-    from ..locality.footprint import footprint_curve
-
-    (lines,) = cell
-    return footprint_curve(_resolve_stream(lines)).to_dict()
-
-
-def curve_cells(cells: list[tuple], *, pool: CellPool) -> list["FootprintCurve"]:
-    """Compute independent all-window footprint curves on ``pool``.
-
-    Each cell is ``(lines,)`` with ``lines`` the stream or its
-    :class:`~repro.perf.store.StoreRef`.  Curves cross the process
-    boundary as their dict form — JSON-exact floats, so a fanned-out
-    curve is bit-identical to a serial
-    :func:`repro.locality.footprint.footprint_curve` call (the fleet
-    composition parity gate depends on it).
-    """
-    from ..locality.footprint import FootprintCurve
-
-    raw = pool.map(_curve_cell, cells)
-    return [FootprintCurve.from_dict(r) for r in raw]
-
-
-def histogram_cells(cells: list[tuple], *, pool: CellPool) -> list[DistanceHistogram]:
-    """Compute independent (lines, n_sets) stack-distance histograms on
-    ``pool``, each on the pool's kernel tier.
-
-    The kernel-path analogue of :func:`simulate_cells`: results are
-    positionally aligned with ``cells`` and identical to serial
-    :func:`repro.cache.fastsim.stack_distance_histogram` calls.
-    Histograms cross the process boundary as their dict form (plain ints,
-    cheap relative to the streams — which, with a store attached, do not
-    cross at all).
-    """
-    raw = pool.map(_histogram_cell, cells)
-    return [DistanceHistogram.from_dict(r) for r in raw]
+    store = pool.store
+    if ship is None:
+        ship = functools.partial(_store_ref, store)
+    out: list = [None] * len(cells)
+    computed = [False] * len(cells)
+    first: dict[str, int] = {}  # memo key -> the cell that looked it up
+    repeats: list[tuple[int, int]] = []  # (cell, earlier cell of its key)
+    misses: list[tuple[int, Optional[str]]] = []  # (cell, memo key)
+    tasks = []
+    for i, (name, stream, *params) in enumerate(cells):
+        kind = artifact_kind(name)
+        digest = trace_digest(stream) if store is not None else None
+        key = None
+        if memo is not None:
+            key = kind.key(stream if digest is None else digest, *params)
+            if key in first:
+                repeats.append((i, first[key]))
+                continue
+            first[key] = i
+            out[i] = memo.get(kind, key, *params)
+            if out[i] is not None:
+                continue
+        misses.append((i, key))
+        tasks.append((name, ship(stream, digest), *params))
+    results = pool.map(fn, tasks) if tasks else []
+    for (i, key), artifact in zip(misses, results):
+        if memo is not None:
+            name, _, *params = cells[i]
+            memo.put(artifact_kind(name), key, artifact, *params)
+        out[i] = artifact
+        computed[i] = True
+    for i, j in repeats:
+        out[i] = out[j]
+    return out, computed

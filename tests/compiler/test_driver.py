@@ -134,3 +134,39 @@ def test_cli_rejects_unknown_optimizer(capsys):
 
     with pytest.raises(SystemExit):
         main(["syn-mcf", "--optimizers", "nonsense"])
+
+
+def test_memo_replays_the_second_build(tiny_module):
+    """A repeated build through ``Driver(memo=...)`` is answered entirely
+    from the memo — evaluation stats and model analyses alike."""
+    from repro.perf import SimMemo
+
+    memo = SimMemo()
+    driver = Driver(optimizers=["bb-affinity", "function-trg"], jobs=1, memo=memo)
+    test, ref = InputSpec("test", seed=1, max_blocks=3000), InputSpec(
+        "ref", seed=2, max_blocks=4000
+    )
+    first = driver.build(tiny_module, test, ref)
+    misses = memo.misses
+    assert memo.hits == 0 and misses > 0
+    second = driver.build(tiny_module, test, ref)
+    # Every key the first build computed is a hit now, and nothing else
+    # was looked up or recomputed.
+    assert (memo.hits, memo.misses) == (misses, misses)
+    assert second.miss_ratios == first.miss_ratios
+
+
+def test_parallel_driver_with_disk_memo_matches_serial(tiny_module, tmp_path):
+    from repro.perf import SimMemo
+
+    test, ref = InputSpec("test", seed=1, max_blocks=3000), InputSpec(
+        "ref", seed=2, max_blocks=4000
+    )
+    optimizers = ["bb-affinity", "function-trg"]
+    plain = Driver(optimizers=optimizers).build(tiny_module, test, ref)
+    with Driver(
+        optimizers=optimizers, jobs=2, memo=SimMemo(tmp_path / "memo")
+    ) as driver:
+        fanned = driver.build(tiny_module, test, ref)
+    assert fanned.miss_ratios == plain.miss_ratios
+    assert list((tmp_path / "memo").glob("*.json"))

@@ -1,4 +1,4 @@
-"""Analysis-artifact memo entries (repro.perf.memo, analysis.v1 schema).
+"""Analysis-artifact memo entries (repro.perf.memo, analysis.v2 schema).
 
 The contract under test: a memoized locality-model analysis returns an
 artifact identical to a fresh kernel run; keys are sensitive to every
@@ -136,6 +136,18 @@ class TestAffinityMemo:
         memo.affinity_coverage(trace, w_max=12)
         assert memo.misses == 2  # recomputed after invalidation
 
+    def test_put_feeds_later_consumption(self, trace):
+        """The precompute path: an artifact computed elsewhere (a worker)
+        is stored and later consumed as a hit."""
+        from repro.perf.memo import AFFINITY_KIND
+
+        memo = SimMemo()
+        key = affinity_key(trace, w_max=12)
+        memo.put(AFFINITY_KIND, key, affinity_coverage(trace, w_max=12), 12, None)
+        served = memo.affinity_coverage(trace, w_max=12)
+        assert served == affinity_coverage(trace, w_max=12)
+        assert (memo.hits, memo.misses) == (1, 0)
+
 
 class TestTrgMemo:
     def test_hit_matches_scalar_oracle(self, trace):
@@ -162,27 +174,3 @@ class TestTrgMemo:
         reread = SimMemo(tmp_path)
         assert reread.trg(trace, window_blocks=64).weights == oracle.weights
         assert (reread.hits, reread.misses) == (1, 0)
-
-
-class TestHasAnalysis:
-    def test_peek_without_counters(self, tmp_path, trace):
-        memo = SimMemo(tmp_path)
-        key = affinity_key(trace, w_max=12)
-        assert not memo.has_analysis(key)
-        memo.affinity_coverage(trace, w_max=12)
-        assert memo.has_analysis(key)
-        # a fresh instance sees the disk entry; counters stay untouched.
-        reread = SimMemo(tmp_path)
-        assert reread.has_analysis(key)
-        assert (reread.hits, reread.misses) == (0, 0)
-
-    def test_put_analysis_feeds_later_consumption(self, trace):
-        """The precompute path: a payload computed elsewhere (a worker)
-        is injected and later consumed as a hit."""
-        memo = SimMemo()
-        key = affinity_key(trace, w_max=12)
-        memo.put_analysis(key, affinity_coverage(trace, w_max=12).to_dict())
-        assert memo.has_analysis(key)
-        served = memo.affinity_coverage(trace, w_max=12)
-        assert served == affinity_coverage(trace, w_max=12)
-        assert (memo.hits, memo.misses) == (1, 0)

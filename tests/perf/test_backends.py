@@ -167,22 +167,20 @@ def test_cross_backend_memo_hits(tmp_path):
 def test_cell_pool_degrades_requested_tier(tmp_path):
     """A pool asked for ``compiled`` on a numba-less machine degrades its
     workers to ``numpy`` and still matches the scalar oracle."""
-    from repro.perf.parallel import CellPool, analysis_cells, histogram_cells
+    from repro.perf.parallel import CellPool, compute_cells
 
     rng = np.random.default_rng(5)
     streams = [rng.integers(0, 900, 2000) for _ in range(4)]
     traces = [_random_trace(rng) for _ in range(2)]
-    cells = [(s, 128) for s in streams]
+    cells = [("histogram", s, 128) for s in streams]
     acells = [("affinity", traces[0], 4, None), ("trg", traces[1], 12)]
     with CellPool(2, kernel_backend="compiled") as pool:
-        hists = histogram_cells(cells, pool=pool)
-        payloads = analysis_cells(acells, pool=pool)
+        hists = compute_cells(cells, pool=pool)
+        artifacts = compute_cells(acells, pool=pool)
     for stream, hist in zip(streams, hists):
         assert hist == _SCALAR.histogram(stream, 128)
-    assert payloads[0] == _SCALAR.affinity(traces[0], w_max=4).to_dict()
-    from repro.core.fastanalysis import trg_to_payload
-
-    assert payloads[1] == trg_to_payload(_SCALAR.trg(traces[1], 12), 12)
+    assert artifacts[0] == _SCALAR.affinity(traces[0], w_max=4)
+    assert artifacts[1] == _SCALAR.trg(traces[1], 12)
 
 
 def test_lab_threads_backend_through_spawn_config():

@@ -1,18 +1,34 @@
-"""The content-addressed simulation memo cache (repro.perf.memo).
+"""The content-addressed memo cache (repro.perf.memo).
 
-The contract under test: a memo hit returns CacheStats identical to a
-fresh simulation; keys are sensitive to every simulation input; disk
-entries survive process turnover, tolerate corruption, and can be
-invalidated.
+The contract under test: a memo hit returns an artifact identical to a
+fresh computation; keys are sensitive to every input and pinned to the
+digests existing caches were written under; disk entries survive
+process turnover, tolerate corruption, and can be invalidated — for
+every artifact kind through the one tier.
 """
 
+import dataclasses
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, PAPER_L1I, simulate, warm_cache
-from repro.perf import SimMemo, memo_key, state_fingerprint
+from repro.perf import SimMemo, memo_key, resolve_backend, state_fingerprint
+from repro.perf.memo import (
+    AFFINITY_KIND,
+    CURVE_KIND,
+    HISTOGRAM_KIND,
+    KINDS,
+    STATS_KIND,
+    TRG_KIND,
+    affinity_key,
+    curve_key,
+    histogram_key,
+    trg_key,
+)
 
 
 @pytest.fixture
@@ -158,6 +174,7 @@ class TestSimMemo:
         assert len(calls) == 1  # the whole point: one compute, not two
         assert sum(m.lock_waits for m in memos) == 1
         assert sum(m.hits for m in memos) == 1  # the loser replayed
+        assert sum(m.misses for m in memos) == 1  # ...and is not also a miss
 
     def test_in_memory_only_mode(self, lines):
         memo = SimMemo()
@@ -192,7 +209,7 @@ class TestHistogramMemo:
         # Distinct from the CacheStats key space for the same stream.
         assert key != memo_key(lines, PAPER_L1I)
 
-    def test_histogram_hit_and_simulate_fast(self, lines):
+    def test_histogram_hit_answers_every_assoc(self, lines):
         from repro.cache import stack_distance_histogram
 
         memo = SimMemo()
@@ -207,7 +224,8 @@ class TestHistogramMemo:
                 assoc=assoc,
                 line_bytes=64,
             )
-            assert memo.simulate_fast(lines, cfg) == simulate(lines, cfg)
+            hist = memo.histogram(lines, cfg.n_sets)
+            assert hist.stats(assoc) == simulate(lines, cfg)
         assert memo.misses == 1  # no further kernel passes were needed
 
     def test_histogram_disk_persistence(self, tmp_path, lines):
@@ -320,3 +338,175 @@ class TestCurveMemo:
         assert not stale.exists()
         kept = _json.loads((tmp_path / f"{key}.json").read_text())
         assert kept["schema"] == CURVE_SCHEMA
+
+
+# -- the tier contract, over every artifact kind ----------------------------
+
+#: the fixed input the key pins below were recorded on.
+_PIN = np.arange(1000, dtype=np.int64) % 97
+
+#: key digests of ``_PIN``, recorded before the tiers were unified;
+#: a change here orphans every existing ``--memo-dir`` cache.
+_KEY_PINS = {
+    "memo_key": (
+        lambda: memo_key(_PIN, PAPER_L1I, prefetch=True),
+        "143cab2fe990e12deceef1d25dc95dce69960eb718110a7a9fb8cf520be6fdaf",
+    ),
+    "memo_key-cold": (
+        lambda: memo_key(_PIN, PAPER_L1I),
+        "280b7540169b76a34053e405a008a38132b5eb65bbd972a863e6a3ae25547af9",
+    ),
+    "histogram_key": (
+        lambda: histogram_key(_PIN, 64),
+        "bbedc999d7fb0d28f779df14bb85b31062387da8039e3e446d7a05c0c33146e1",
+    ),
+    "curve_key": (
+        lambda: curve_key(_PIN),
+        "2b23ee01b5bb89ea2d614f4a2d475f0d6b20232743694686f349a93dbf31b56a",
+    ),
+    "affinity_key": (
+        lambda: affinity_key(_PIN, w_max=12, time_horizon=40),
+        "040933682ef36bf48f1d16637c14f22b91203a83ed8097ca3cb5b66bf3cfe8b5",
+    ),
+    "affinity_key-default": (
+        lambda: affinity_key(_PIN, w_max=20),
+        "089ec28624f6ab00b8852582ef3f34333df70dfd2dbfe68aabb9b982ab4a1ad4",
+    ),
+    "trg_key": (
+        lambda: trg_key(_PIN, window_blocks=64),
+        "5fc55e0ea775b722c291854e7559b633125111f86a2c5480eac465f6268530a4",
+    ),
+    "trg_key-unwindowed": (
+        lambda: trg_key(_PIN),
+        "db8045494fc6548210ac277fae99700da030e41bad96ea62279d663ca191414d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEY_PINS))
+def test_key_functions_pinned(name):
+    key_fn, digest = _KEY_PINS[name]
+    assert key_fn() == digest
+
+
+def _cell(name):
+    """(kind, stream, params) of one small cell of each kind."""
+    lines = np.random.default_rng(42).integers(0, 700, 5000).astype(np.int32)
+    trace = np.random.default_rng(7).integers(0, 40, 3000).astype(np.int64)
+    return {
+        "stats": (STATS_KIND, lines, (PAPER_L1I, True)),
+        "histogram": (HISTOGRAM_KIND, lines, (128,)),
+        "curve": (CURVE_KIND, lines, ()),
+        "affinity": (AFFINITY_KIND, trace, (12, None)),
+        "trg": (TRG_KIND, trace, (64,)),
+    }[name]
+
+
+def _entry(kind, artifact, params):
+    """The JSON entry an artifact persists as: one equality for every kind."""
+    return json.dumps(kind.encode(artifact, *params), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+class TestTierContract:
+    """Round trip, corruption, stale schema, lock dedup and aliasing hold
+    for every kind through the one tier."""
+
+    def test_round_trip_and_disk_persistence(self, name, tmp_path):
+        kind, stream, params = _cell(name)
+        scalar = resolve_backend("scalar")  # the oracle tier
+        oracle = _entry(kind, kind.compute(scalar, stream, *params), params)
+        memo = SimMemo(tmp_path)
+        first, computed = memo.get_or_compute(kind, stream, *params)
+        hit, recomputed = memo.get_or_compute(kind, stream, *params)
+        assert (computed, recomputed) == (True, False)
+        assert (memo.hits, memo.misses) == (1, 1)
+        assert _entry(kind, first, params) == _entry(kind, hit, params) == oracle
+        reread = SimMemo(tmp_path)
+        replay, computed = reread.get_or_compute(kind, stream, *params)
+        assert not computed and (reread.hits, reread.misses) == (1, 0)
+        assert _entry(kind, replay, params) == oracle
+        raw = json.loads((tmp_path / f"{kind.key(stream, *params)}.json").read_text())
+        assert raw["schema"] == kind.schema
+
+    def test_corrupt_entry_dropped_and_recomputed(self, name, tmp_path):
+        kind, stream, params = _cell(name)
+        fresh, _ = SimMemo(tmp_path).get_or_compute(kind, stream, *params)
+        path = tmp_path / f"{kind.key(stream, *params)}.json"
+        path.write_text("{ truncated")
+        reread = SimMemo(tmp_path)
+        again, computed = reread.get_or_compute(kind, stream, *params)
+        assert computed and (reread.hits, reread.misses) == (0, 1)
+        assert _entry(kind, again, params) == _entry(kind, fresh, params)
+        # the corrupt file was replaced by a valid recomputed entry.
+        assert json.loads(path.read_text())["schema"] == kind.schema
+
+    def test_non_object_entry_dropped_and_scrubbed(self, name, tmp_path):
+        """Valid JSON that is not an entry object degrades like any other
+        corruption — neither the lookup nor scrub() may raise."""
+        kind, stream, params = _cell(name)
+        SimMemo(tmp_path).get_or_compute(kind, stream, *params)
+        path = tmp_path / f"{kind.key(stream, *params)}.json"
+        path.write_text("[1, 2]")
+        reread = SimMemo(tmp_path)
+        _, computed = reread.get_or_compute(kind, stream, *params)
+        assert computed and reread.misses == 1
+        path.write_text("[1, 2]")
+        assert reread.scrub() == (0, 1)
+        assert not path.exists()
+
+    def test_stale_schema_entry_dropped(self, name, tmp_path):
+        kind, stream, params = _cell(name)
+        SimMemo(tmp_path).get_or_compute(kind, stream, *params)
+        path = tmp_path / f"{kind.key(stream, *params)}.json"
+        raw = json.loads(path.read_text())
+        raw["schema"] = kind.schema + ".stale"
+        path.write_text(json.dumps(raw))
+        reread = SimMemo(tmp_path)
+        _, computed = reread.get_or_compute(kind, stream, *params)
+        assert computed and reread.misses == 1
+        assert json.loads(path.read_text())["schema"] == kind.schema
+
+    def test_concurrent_writers_compute_once(self, name, tmp_path):
+        kind, stream, params = _cell(name)
+        calls = []
+        started = threading.Barrier(2)
+
+        def slow_compute(*args):
+            calls.append(1)
+            time.sleep(0.3)  # hold the key lock long enough to force contention
+            return kind.compute(*args)
+
+        slow = dataclasses.replace(kind, compute=slow_compute)
+        memos = [SimMemo(tmp_path), SimMemo(tmp_path)]
+        results: list = [None, None]
+
+        def worker(i):
+            started.wait()
+            results[i] = memos[i].get_or_compute(slow, stream, *params)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        assert len(calls) == 1
+        assert sorted(computed for _, computed in results) == [False, True]
+        assert _entry(kind, results[0][0], params) == _entry(kind, results[1][0], params)
+        assert sum(m.lock_waits for m in memos) == 1
+        assert sum(m.hits for m in memos) == 1
+        assert sum(m.misses for m in memos) == 1
+
+    def test_aliasing_policy(self, name):
+        """Stats, affinity coverage and TRGs come back as copies;
+        histograms and curves are shared (immutable in practice)."""
+        kind, stream, params = _cell(name)
+        memo = SimMemo()
+        first, _ = memo.get_or_compute(kind, stream, *params)
+        hit, _ = memo.get_or_compute(kind, stream, *params)
+        again, _ = memo.get_or_compute(kind, stream, *params)
+        if name in ("histogram", "curve"):
+            assert first is hit is again
+        else:
+            assert first is not hit and hit is not again

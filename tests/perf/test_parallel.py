@@ -19,11 +19,10 @@ from repro.experiments import Lab
 from repro.experiments.runner import run_suite
 from repro.perf import (
     CellPool,
-    analysis_cells,
     compare_journal_outcomes,
-    histogram_cells,
+    compute_cells,
+    memoized_cells,
     rebuild_error,
-    simulate_cells,
 )
 from repro.robust import ProfileError, RunJournal, SimulationError
 
@@ -131,16 +130,17 @@ class TestSimulateCells:
     def test_results_identical_to_serial(self):
         rng = np.random.default_rng(3)
         cells = [
-            (rng.integers(0, 600, 4000), PAPER_L1I, bool(i % 2)) for i in range(5)
+            ("stats", rng.integers(0, 600, 4000), PAPER_L1I, bool(i % 2))
+            for i in range(5)
         ]
         with CellPool(2) as pool:
-            parallel = simulate_cells(cells, pool=pool)
-        serial = [simulate(lines, cfg, prefetch=pf) for lines, cfg, pf in cells]
+            parallel = compute_cells(cells, pool=pool)
+        serial = [simulate(lines, cfg, prefetch=pf) for _, lines, cfg, pf in cells]
         assert parallel == serial
 
     def test_empty(self):
         with CellPool(2) as pool:
-            assert simulate_cells([], pool=pool) == []
+            assert compute_cells([], pool=pool) == []
 
 
 class TestHistogramCells:
@@ -148,27 +148,29 @@ class TestHistogramCells:
         from repro.cache import stack_distance_histogram
 
         rng = np.random.default_rng(8)
-        cells = [(rng.integers(0, 600, 4000), 1 << (i % 3 + 5)) for i in range(5)]
+        cells = [
+            ("histogram", rng.integers(0, 600, 4000), 1 << (i % 3 + 5))
+            for i in range(5)
+        ]
         with CellPool(2) as pool:
-            parallel = histogram_cells(cells, pool=pool)
-        serial = [stack_distance_histogram(lines, n_sets) for lines, n_sets in cells]
+            parallel = compute_cells(cells, pool=pool)
+        serial = [stack_distance_histogram(lines, n_sets) for _, lines, n_sets in cells]
         assert parallel == serial
         # One histogram per cell answers every associativity.
         from repro.cache import CacheConfig
 
-        lines, n_sets = cells[0]
+        _, lines, n_sets = cells[0]
         cfg = CacheConfig(size_bytes=n_sets * 4 * 64, assoc=4, line_bytes=64)
         assert parallel[0].stats(4) == simulate(lines, cfg)
 
     def test_empty(self):
         with CellPool(2) as pool:
-            assert histogram_cells([], pool=pool) == []
+            assert memoized_cells([], pool=pool) == ([], [])
 
 
 class TestAnalysisCells:
     def test_results_identical_to_serial(self):
         from repro.core import affinity_coverage, build_trg_fast
-        from repro.core.fastanalysis import trg_to_payload
 
         rng = np.random.default_rng(5)
         traces = [rng.integers(0, 30, 2000) for _ in range(3)]
@@ -176,25 +178,24 @@ class TestAnalysisCells:
             ("trg", t, 64) for t in traces
         ]
         with CellPool(2) as pool:
-            parallel = analysis_cells(cells, pool=pool)
-        serial = analysis_cells(cells, pool=CellPool(1))
+            parallel = compute_cells(cells, pool=pool)
+        serial = compute_cells(cells, pool=CellPool(1))
         assert parallel == serial
-        assert parallel[0] == affinity_coverage(traces[0], w_max=8).to_dict()
-        assert parallel[3] == trg_to_payload(
-            build_trg_fast(traces[0], window_blocks=64), 64
-        )
+        assert parallel[0] == affinity_coverage(traces[0], w_max=8)
+        assert parallel[3] == build_trg_fast(traces[0], window_blocks=64)
 
     def test_payloads_feed_the_memo(self):
-        """The precompute handshake: worker payloads injected via
-        put_analysis replay as artifacts identical to direct kernel runs."""
+        """The precompute handshake: worker artifacts stored with
+        ``put`` replay as artifacts identical to direct kernel runs."""
         from repro.core import affinity_coverage
         from repro.perf import SimMemo, affinity_key
+        from repro.perf.memo import AFFINITY_KIND
 
         rng = np.random.default_rng(6)
         trace = rng.integers(0, 30, 2000)
-        (payload,) = analysis_cells([("affinity", trace, 8, None)], pool=CellPool(1))
+        (covg,) = compute_cells([("affinity", trace, 8, None)], pool=CellPool(1))
         memo = SimMemo()
-        memo.put_analysis(affinity_key(trace, w_max=8), payload)
+        memo.put(AFFINITY_KIND, affinity_key(trace, w_max=8), covg, 8, None)
         assert memo.affinity_coverage(trace, w_max=8) == affinity_coverage(
             trace, w_max=8
         )
@@ -202,9 +203,69 @@ class TestAnalysisCells:
 
     def test_empty_and_unknown_kind(self):
         with CellPool(2) as pool:
-            assert analysis_cells([], pool=pool) == []
-        with pytest.raises(ValueError, match="unknown analysis cell kind"):
-            analysis_cells([("zipf", None)], pool=CellPool(1))
+            assert compute_cells([], pool=pool) == []
+        with pytest.raises(ValueError, match="unknown artifact kind"):
+            compute_cells([("zipf", None)], pool=CellPool(1))
+
+
+class TestMemoizedCells:
+    """The one memo-aware fan-out behind Driver._evaluate and the three
+    Lab.precompute_* methods."""
+
+    @staticmethod
+    def _cells():
+        rng = np.random.default_rng(21)
+        streams = [rng.integers(0, 600, 3000) for _ in range(3)]
+        # The last cell repeats the first one's key.
+        return [("stats", s, PAPER_L1I, False) for s in streams] + [
+            ("stats", streams[0].copy(), PAPER_L1I, False)
+        ]
+
+    def test_misses_computed_stored_then_replayed(self, tmp_path):
+        from repro.perf import SimMemo
+
+        cells = self._cells()
+        expected = [simulate(s, cfg, prefetch=pf) for _, s, cfg, pf in cells]
+        memo = SimMemo(tmp_path)
+        with CellPool(2) as pool:
+            got, computed = memoized_cells(cells, pool=pool, memo=memo)
+            assert got == expected
+            assert computed == [True, True, True, False]
+            # Three distinct keys, each looked up once.
+            assert (memo.hits, memo.misses) == (0, 3)
+            maps = pool.maps
+            again, computed = memoized_cells(
+                cells, pool=pool, memo=SimMemo(tmp_path)
+            )
+            assert pool.maps == maps  # all hits: nothing shipped
+        assert again == expected and computed == [False] * 4
+        assert got[3] is got[0]  # the repeated cell shares its twin's stats
+
+    def test_no_hashing_without_memo_or_store(self, monkeypatch):
+        import repro.perf.memo as memo_mod
+        import repro.perf.parallel as parallel_mod
+
+        def refuse(*_):
+            raise AssertionError("stream hashed without memo or store")
+
+        monkeypatch.setattr(memo_mod, "trace_digest", refuse)
+        monkeypatch.setattr(parallel_mod, "trace_digest", refuse)
+        cells = self._cells()
+        got, computed = memoized_cells(cells, pool=CellPool(1))
+        assert got == [simulate(s, cfg) for _, s, cfg, _ in cells]
+        assert computed == [True] * 4
+
+    def test_custom_cell_function_sees_every_miss(self):
+        seen = []
+
+        def spy(cell):
+            seen.append(cell[0])
+            return simulate(cell[1], cell[2], prefetch=cell[3])
+
+        cells = self._cells()
+        got, _ = memoized_cells(cells, pool=CellPool(1), fn=spy)
+        assert seen == ["stats"] * 4
+        assert got == [simulate(s, cfg) for _, s, cfg, _ in cells]
 
 
 _PROBE = "probe-breaker"
@@ -312,11 +373,13 @@ class TestBrokenPoolRecomputesOnlyLostCells:
 class TestCellPoolReuse:
     def test_fanouts_share_one_executor(self):
         rng = np.random.default_rng(11)
-        cells = [(rng.integers(0, 600, 2000), PAPER_L1I, False) for _ in range(4)]
+        cells = [
+            ("stats", rng.integers(0, 600, 2000), PAPER_L1I, False) for _ in range(4)
+        ]
         with CellPool(2) as pool:
-            first = simulate_cells(cells, pool=pool)
-            second = simulate_cells(cells, pool=pool)
-        assert first == second == simulate_cells(cells, pool=CellPool(1))
+            first = compute_cells(cells, pool=pool)
+            second = compute_cells(cells, pool=pool)
+        assert first == second == compute_cells(cells, pool=CellPool(1))
         assert pool.maps == 2
         assert pool.reuses == 1  # second fan-out reused the warm workers
 
@@ -350,13 +413,12 @@ class TestRebuildError:
 class TestCurveCells:
     def test_results_identical_to_serial(self):
         from repro.locality.footprint import footprint_curve
-        from repro.perf.parallel import curve_cells
 
         rng = np.random.default_rng(13)
-        cells = [(rng.integers(0, 500, 3000),) for _ in range(5)]
+        cells = [("curve", rng.integers(0, 500, 3000)) for _ in range(5)]
         with CellPool(2) as pool:
-            parallel = curve_cells(cells, pool=pool)
-        serial = [footprint_curve(lines) for (lines,) in cells]
+            parallel = compute_cells(cells, pool=pool)
+        serial = [footprint_curve(lines) for _, lines in cells]
         assert len(parallel) == len(serial)
         for got, ref in zip(parallel, serial):
             assert got.n == ref.n and got.m == ref.m
@@ -365,27 +427,24 @@ class TestCurveCells:
     def test_store_ref_cells_resolve(self, tmp_path):
         from repro.locality.footprint import footprint_curve
         from repro.perf import TraceStore
-        from repro.perf.parallel import curve_cells
 
         rng = np.random.default_rng(14)
         store = TraceStore(tmp_path)
         traces = [rng.integers(0, 500, 3000) for _ in range(3)]
-        cells = [(store.ref(t),) for t in traces]
+        cells = [("curve", store.ref(t)) for t in traces]
         with CellPool(2, store=store) as pool:
-            got = curve_cells(cells, pool=pool)
+            got = compute_cells(cells, pool=pool)
         for curve, t in zip(got, traces):
             ref = footprint_curve(t)
             assert (curve.fp == ref.fp).all()
 
     def test_shared_pool_and_empty(self):
-        from repro.perf.parallel import curve_cells
-
-        assert curve_cells([], pool=CellPool(1)) == []
+        assert compute_cells([], pool=CellPool(1)) == []
         rng = np.random.default_rng(15)
-        cells = [(rng.integers(0, 200, 1000),) for _ in range(3)]
+        cells = [("curve", rng.integers(0, 200, 1000)) for _ in range(3)]
         with CellPool(2) as pool:
-            first = curve_cells(cells, pool=pool)
-            second = curve_cells(cells, pool=pool)
+            first = compute_cells(cells, pool=pool)
+            second = compute_cells(cells, pool=pool)
         for a, b in zip(first, second):
             assert (a.fp == b.fp).all()
         assert pool.maps == 2
