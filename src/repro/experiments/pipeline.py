@@ -675,9 +675,11 @@ class Lab:
     ) -> None:
         """Fill the solo-measurement memo for many cells at once.
 
-        Each cell is ``(program, layout, channel)``.  Streams are built
-        serially (they are memoized and cheap relative to simulation);
-        the independent cache simulations then fan out across ``jobs``
+        Each cell is ``(program, layout, channel)``.  With ``jobs > 1``
+        the optimized layouts' analyses fan out first
+        (:meth:`precompute_layouts`); streams are then built serially
+        (they are memoized and cheap relative to simulation), and the
+        independent cache simulations fan out across ``jobs``
         worker processes (default: the lab's ``jobs``).  Results are
         **bit-identical** to calling :meth:`solo_miss` cell by cell —
         the noise seeding and memo keys are shared with the serial path
@@ -693,6 +695,12 @@ class Lab:
                 self.solo_miss(name, layout_name, channel)
             return
 
+        optimized = dict.fromkeys(
+            (name, layout_name)
+            for name, layout_name, _ in todo
+            if layout_name != BASELINE
+        )
+        self.precompute_layouts(list(optimized), jobs=jobs)
         n_sets = self.cache_cfg.n_sets
         kernel = [
             (name, layout_name)

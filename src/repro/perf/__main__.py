@@ -19,8 +19,13 @@ Subcommands:
     associativity of a geometry family (the reference), then runs one
     histogram pass per tier, asserts every tier's miss counts are
     **bit-identical** to the simulator and to each other (exit 1 on any
-    divergence), and reports per-tier speedups.  Timings are the
-    minimum over ``--reps`` repetitions.  ``--backend`` restricts the
+    divergence), and reports per-tier speedups.  The reference is
+    ``simulate_reference``, the uncollapsed LRU loop.  The same stream
+    also gates the hw-channel LRU path: ``simulate(prefetch=True)`` and
+    a two-thread ``simulate_shared(prefetch=True)`` must match their
+    ``*_reference`` oracles on every stats field (exit 1 otherwise),
+    and their speedups over the oracles are reported as ``lru`` rows.
+    Timings are the minimum over ``--reps`` repetitions.  ``--backend`` restricts the
     tier list; ``--min-speedup`` gates the fastest tier;
     ``--baseline PATH`` gates each tier's speedup against a committed
     ``BENCH_kernel.json`` (no-regression floor, ``--regression-factor``
@@ -121,11 +126,58 @@ def _check_compiled_wins(rows: dict, require: bool) -> list[str]:
     return []
 
 
+def _best_of(reps: int, fn):
+    """``(best seconds, last result)`` of ``reps`` calls of ``fn``."""
+    best, out = float("inf"), None
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def _lru_bench(stream, cfg, reps: int) -> tuple[dict, list[str]]:
+    """Time the hw-channel LRU simulators against their ``*_reference``
+    oracles: solo ``simulate`` and a two-thread ``simulate_shared`` (the
+    second thread offset by ``THREAD_STRIDE``), both with prefetch on.
+    Returns per-simulator rows and any stats mismatches."""
+    from ..cache.setassoc import simulate, simulate_reference
+    from ..cache.shared import simulate_shared, simulate_shared_reference
+    from ..experiments.pipeline import THREAD_STRIDE
+
+    streams = [stream, stream + THREAD_STRIDE]
+    cases = {
+        "solo": (
+            lambda: simulate(stream, cfg, prefetch=True),
+            lambda: simulate_reference(stream, cfg, prefetch=True),
+        ),
+        "shared": (
+            lambda: simulate_shared(streams, cfg, prefetch=True),
+            lambda: simulate_shared_reference(streams, cfg, prefetch=True),
+        ),
+    }
+    rows: dict[str, dict] = {}
+    mismatches: list[str] = []
+    for name, (fast, reference) in cases.items():
+        ref_s, want = _best_of(reps, reference)
+        best, got = _best_of(reps, fast)
+        if got != want:
+            mismatches.append(f"lru {name}: {got} != reference {want}")
+        accesses = sum(st.accesses for st in got) if name == "shared" else got.accesses
+        rows[name] = {
+            "reference_seconds": round(ref_s, 4),
+            "seconds": round(best, 4),
+            "speedup": round(ref_s / best, 2) if best > 0 else float("inf"),
+            "accesses_per_s": round(accesses / best, 1) if best > 0 else 0.0,
+        }
+    return rows, mismatches
+
+
 def _run_kernel_bench(args) -> int:
     import numpy as np
 
     from ..cache.config import CacheConfig
-    from ..cache.setassoc import simulate
+    from ..cache.setassoc import simulate_reference
     from ..experiments.pipeline import BASELINE, Lab
     from ..robust.atomic import atomic_write_text
     from .backends import resolve_backend
@@ -150,7 +202,7 @@ def _run_kernel_bench(args) -> int:
             cfg = CacheConfig(
                 size_bytes=n_sets * assoc * 64, assoc=assoc, line_bytes=64
             )
-            scalar_misses[assoc] = simulate(stream, cfg).misses
+            scalar_misses[assoc] = simulate_reference(stream, cfg).misses
         scalar_s = min(scalar_s, time.perf_counter() - t0)
 
     kernel_input = np.asarray(stream)
@@ -171,11 +223,9 @@ def _run_kernel_bench(args) -> int:
         backend = resolve_backend(name)
         if name == "compiled":
             backend.histogram(kernel_input, n_sets)  # JIT warm-up
-        best, hist = float("inf"), None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            hist = backend.histogram(kernel_input, n_sets)
-            best = min(best, time.perf_counter() - t0)
+        best, hist = _best_of(
+            reps, lambda: backend.histogram(kernel_input, n_sets)
+        )
         for a in assocs:
             got = hist.misses(a)
             if got != scalar_misses[a]:
@@ -192,6 +242,8 @@ def _run_kernel_bench(args) -> int:
             "accesses_per_s": round(len(stream) / best, 1) if best > 0 else 0.0,
         }
 
+    lru, lru_mismatches = _lru_bench(stream, lab.cache_cfg, reps)
+    mismatches += lru_mismatches
     if mismatches:
         print("kernel parity FAILED:", file=sys.stderr)
         for m in mismatches:
@@ -211,6 +263,12 @@ def _run_kernel_bench(args) -> int:
         row = rows[name]
         print(
             f"  {name}: {row['seconds']:.4f}s ({row['speedup']:.1f}x, "
+            f"{row['accesses_per_s']:.0f} accesses/s)"
+        )
+    for name, row in lru.items():
+        print(
+            f"  lru {name} (prefetch): {row['seconds']:.4f}s vs reference "
+            f"{row['reference_seconds']:.4f}s ({row['speedup']:.1f}x, "
             f"{row['accesses_per_s']:.0f} accesses/s)"
         )
 
@@ -257,6 +315,7 @@ def _run_kernel_bench(args) -> int:
         "backends": rows,
         "kernel_seconds": kernel_s,
         "speedup": speedup,
+        "lru": lru,
     }
     if args.bench is not None:
         try:
@@ -317,24 +376,21 @@ def _run_analysis_bench(args) -> int:
         store = TraceStore(args.store_dir)
         kernel_trace = store.resolve(store.ref(trace))
 
-    def timed(fn):
-        """(best wall seconds over reps, last result)."""
-        best, result = float("inf"), None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
     # Scalar oracles: one-pass LRU-stack sweep + scalar TRG window walk.
-    scalar_aff_s, scalar_analysis = timed(lambda: AffinityAnalysis(trace, w_max))
-    scalar_trg_s, scalar_trg = timed(lambda: build_trg(trace, window_blocks=window))
+    scalar_aff_s, scalar_analysis = _best_of(
+        reps, lambda: AffinityAnalysis(trace, w_max)
+    )
+    scalar_trg_s, scalar_trg = _best_of(
+        reps, lambda: build_trg(trace, window_blocks=window)
+    )
     scalar_covg = coverage_from_analysis(scalar_analysis)
     scalar_s = scalar_aff_s + scalar_trg_s
     # Hierarchy stage on the same analysis: the per-pair reference loop
     # against the threshold-matrix build, forests compared node by node.
-    ref_hier_s, ref_forest = timed(lambda: build_hierarchy_reference(scalar_analysis))
-    hier_s, forest = timed(lambda: build_hierarchy(scalar_analysis))
+    ref_hier_s, ref_forest = _best_of(
+        reps, lambda: build_hierarchy_reference(scalar_analysis)
+    )
+    hier_s, forest = _best_of(reps, lambda: build_hierarchy(scalar_analysis))
 
     rows: dict[str, dict] = {}
     mismatches: list[str] = []
@@ -345,8 +401,10 @@ def _run_analysis_bench(args) -> int:
         if name == "compiled":  # JIT warm-up outside the timed reps
             backend.affinity(kernel_trace, w_max=w_max)
             backend.trg(kernel_trace, window)
-        aff_s, covg = timed(lambda: backend.affinity(kernel_trace, w_max=w_max))
-        trg_s, trg = timed(lambda: backend.trg(kernel_trace, window))
+        aff_s, covg = _best_of(
+            reps, lambda: backend.affinity(kernel_trace, w_max=w_max)
+        )
+        trg_s, trg = _best_of(reps, lambda: backend.trg(kernel_trace, window))
         if scalar_covg != covg:
             mismatches.append(f"{name}: affinity coverage tables diverge")
         if scalar_trg.weights != trg.weights:
@@ -807,6 +865,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(
                     f"  {name}: {row.get('seconds', 0)}s "
                     f"({row.get('speedup', 0)}x, "
+                    f"{row.get('accesses_per_s', 0)} accesses/s)"
+                )
+            for name, row in sorted((kernel_bench.get("lru") or {}).items()):
+                print(
+                    f"  lru {name}: {row.get('seconds', 0)}s "
+                    f"({row.get('speedup', 0)}x over reference, "
                     f"{row.get('accesses_per_s', 0)} accesses/s)"
                 )
         if analysis.get("cells"):

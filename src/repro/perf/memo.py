@@ -90,10 +90,11 @@ Concurrent writers computing the same key are de-duplicated with a
 per-key advisory file lock (``flock`` on ``{key}.lock``): the loser
 blocks until the winner publishes, then replays the winner's entry
 instead of repeating the computation — one lookup, counted once, as a
-hit.  ``flock`` locks die with their holder, so a killed winner can
-never deadlock the losers.  When the platform has no ``fcntl`` the lock
-degrades to a no-op — both writers compute, and the atomic rename keeps
-the entry intact either way.
+hit.  The winner unlinks the lock file before releasing it, so a
+populated cache holds entries only.  ``flock`` locks die with their
+holder, so a killed winner can never deadlock the losers.  When the
+platform has no ``fcntl`` the lock degrades to a no-op — both writers
+compute, and the atomic rename keeps the entry intact either way.
 """
 
 from __future__ import annotations
@@ -456,35 +457,39 @@ class SimMemo:
             pass  # cleanup is best-effort; the entry already lost.
 
     @contextmanager
-    def _key_lock(self, key: str) -> Iterator[bool]:
+    def _key_lock(self, key: str) -> Iterator[None]:
         """Cross-process advisory lock for one key (compute dedup).
 
-        Yields True when another holder was waited on — the caller
-        should re-check the entry before recomputing, because the winner
-        published it while we blocked.  ``flock`` is released by the
-        kernel when its holder dies, so a killed winner cannot strand
-        the losers; on lockless platforms (or an unwritable cache dir)
-        this degrades to a no-op and both writers compute.
+        The caller must re-check the entry once inside: a holder it
+        waited on may have published it meanwhile.  The holder unlinks
+        the ``{key}.lock`` sidecar before releasing, so no lock file
+        outlives its computation.  A waiter still blocked on the
+        unlinked inode and a newcomer locking a fresh file can then both
+        get in, but only after the entry is published, which their
+        re-check finds.  ``flock`` is released by the kernel when its
+        holder dies, so a killed winner cannot strand the losers; on
+        lockless platforms (or an unwritable cache dir) this degrades
+        to a no-op and both writers compute.
         """
         if self.cache_dir is None or fcntl is None:
-            yield False
+            yield
             return
+        path = self.cache_dir / f"{key}.lock"
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fh = open(self.cache_dir / f"{key}.lock", "a+")
+            fh = open(path, "a+")
         except OSError:
-            yield False
+            yield
             return
-        waited = False
         try:
             try:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
             except OSError:
                 self.lock_waits += 1
-                waited = True
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            yield waited
+            yield
         finally:
+            self._drop_entry(path)
             try:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
             except OSError:
@@ -549,20 +554,18 @@ class SimMemo:
         """The artifact for ``(lines, *params)`` and whether this call
         computed it.
 
-        A miss takes the key's lock and re-checks the entry if another
-        writer held it; only then does it compute — on ``backend``, the
-        fastest tier when None — and store.  Either way the lookup is
-        counted once.
+        A miss takes the key's lock and re-checks the entry (another
+        writer may have published it meanwhile); only then does it
+        compute — on ``backend``, the fastest tier when None — and
+        store.  Either way the lookup is counted once.
         """
         key = kind.key(lines, *params)
         artifact = self._peek(kind, key, params)
         if artifact is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    # The lock's previous holder computed this very key;
-                    # replay its published entry instead of repeating
-                    # the computation.
-                    artifact = self._peek(kind, key, params)
+            with self._key_lock(key):
+                # Replay an entry a previous lock holder published
+                # instead of repeating its computation.
+                artifact = self._peek(kind, key, params)
                 if artifact is None:
                     self.misses += 1
                     artifact = kind.compute(
@@ -661,7 +664,7 @@ class SimMemo:
 
         Drops entries that are unreadable, non-JSON, or carry an unknown
         schema tag, plus stray ``.lock`` and ``.tmp`` files (lock files
-        from finished dedups, temp files from killed atomic writes).
+        of killed lock holders, temp files from killed atomic writes).
         Run after a chaos soak — or any hard kill — to guarantee the
         cache directory holds only complete, valid artifacts.
         """

@@ -282,6 +282,42 @@ class TestAnalysisRouting:
         assert again.counters["analysis_passes"] == 0
         assert again.counters["analysis_memo_hits"] == len(self.LAYOUTS)
 
+    def test_precompute_solo_fans_out_layout_analyses(self, monkeypatch):
+        """With jobs > 1, precompute_solo sends the optimized cells'
+        model analyses through the cell fan-out before any stream is
+        built; layouts and measurements equal the serial run's."""
+        from repro.perf import SimMemo
+
+        cells = [
+            ("syn-mcf", layout, "hw")
+            for layout in (BASELINE, "function-affinity", "function-trg")
+        ]
+        kinds = []
+        real_fan_out = Lab._fan_out
+
+        def spy(self, work, jobs, memo):
+            kinds.extend(cell[0] for cell in work)
+            return real_fan_out(self, work, jobs, memo)
+
+        monkeypatch.setattr(Lab, "_fan_out", spy)
+        fanned = Lab(scale=SCALE, noise_sigma=0.0, memo=SimMemo())
+        fanned.precompute_solo(cells, jobs=2)
+        assert kinds == ["affinity", "trg", "stats", "stats", "stats"]
+        assert fanned.counters["analysis_passes"] == 2
+        assert fanned.counters["analysis_memo_hits"] == 2
+
+        kinds.clear()
+        serial = Lab(scale=SCALE, noise_sigma=0.0, memo=SimMemo())
+        serial.precompute_solo(cells, jobs=1)
+        assert kinds == []
+        for name, layout, channel in cells:
+            assert self._same_layout(
+                fanned.layout(name, layout), serial.layout(name, layout)
+            )
+            assert fanned.solo_miss(name, layout, channel) == serial.solo_miss(
+                name, layout, channel
+            )
+
     def test_precompute_layouts_serial_and_scalar_fallbacks(self):
         """jobs=1, and the scalar tier fanned out, must still build
         every layout."""

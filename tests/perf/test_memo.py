@@ -497,6 +497,18 @@ class TestTierContract:
         assert sum(m.lock_waits for m in memos) == 1
         assert sum(m.hits for m in memos) == 1
         assert sum(m.misses for m in memos) == 1
+        assert not list(tmp_path.glob("*.lock"))
+
+    def test_cold_compute_leaves_no_lock_file(self, name, tmp_path):
+        """The key lock's sidecar goes with the computation that took
+        it: a populated cache directory holds entries only."""
+        kind, stream, params = _cell(name)
+        memo = SimMemo(tmp_path)
+        memo.get_or_compute(kind, stream, *params)
+        memo.get_or_compute(kind, stream, *params)
+        assert not list(tmp_path.glob("*.lock"))
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert (memo.hits, memo.misses) == (1, 1)
 
     def test_aliasing_policy(self, name):
         """Stats, affinity coverage and TRGs come back as copies;

@@ -269,9 +269,29 @@ class TestPerfCli:
         assert kb["assocs"] == [1, 2, 4]
         assert kb["n_sets"] == 128
         assert kb["speedup"] > 0
+        assert sorted(kb["lru"]) == ["shared", "solo"]
+        assert all(row["speedup"] > 0 for row in kb["lru"].values())
+        assert "lru shared (prefetch)" in out
         # The section merges into an existing report and survives show-bench.
         assert perf_main(["show-bench", str(bench)]) == 0
-        assert "kernel-bench:" in capsys.readouterr().out
+        assert "lru solo:" in capsys.readouterr().out
+
+    def test_kernel_bench_lru_mismatch_fails(self, capsys, monkeypatch):
+        """A co-run simulator that drifts from its reference fails the
+        gate even when every histogram tier agrees."""
+        import repro.cache.shared as shared
+
+        real = shared.simulate_shared
+
+        def off_by_one(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            stats[1].misses += 1
+            return stats
+
+        monkeypatch.setattr(shared, "simulate_shared", off_by_one)
+        code = perf_main(["kernel-bench", "--scale", "0.05", "--reps", "1"])
+        assert code == 1
+        assert "lru shared" in capsys.readouterr().err
 
     def test_kernel_bench_min_speedup_enforced(self, capsys):
         code = perf_main(
